@@ -1,78 +1,29 @@
-# Acceptance check for the observability layer, run as a ctest target:
-# instrumentation must never perturb results.  The same grid is swept
-# three ways — plain, with SPROUT_OBS=1 (hot-path counting on), and
-# orchestrated with --metrics-out/--trace-out (runtime stamping on) — and
-# the first two must be byte-identical outright, the third after
-# `obs_report strip-runtime` removes its telemetry stamps.  The telemetry
-# files themselves must pass the strict validators.
-# Expects:
-#   -DSWEEP_SHARD=<path to the sweep_shard binary>
-#   -DSWEEP_ORCHESTRATE=<path to the sweep_orchestrate binary>
-#   -DOBS_REPORT=<path to the obs_report binary>
-#   -DSPEC_FILE=<path to specs/coexistence_smoke.json>
-#   -DWORK_DIR=<scratch directory>
-if(NOT SWEEP_SHARD OR NOT SWEEP_ORCHESTRATE OR NOT OBS_REPORT OR
-   NOT SPEC_FILE OR NOT WORK_DIR)
-  message(FATAL_ERROR "need -DSWEEP_SHARD=... -DSWEEP_ORCHESTRATE=... "
-    "-DOBS_REPORT=... -DSPEC_FILE=... -DWORK_DIR=...")
-endif()
+# Acceptance check for the observability layer: instrumentation must never
+# perturb results.  The same grid is swept plain, with SPROUT_OBS=1
+# (hot-path counting on), and orchestrated with --metrics-out/--trace-out
+# (runtime stamping on); the first two must be byte-identical outright,
+# the third after `sweep_report strip runtime`.  The telemetry files must
+# pass the strict validators and render.
+include(${CMAKE_CURRENT_LIST_DIR}/roundtrip_common.cmake)
 
-file(REMOVE_RECURSE ${WORK_DIR})
-file(MAKE_DIRECTORY ${WORK_DIR})
+set(SPEC --spec ${SPECS}/coexistence_smoke.json)
+set(OBS_ON ${CMAKE_COMMAND} -E env SPROUT_OBS=1)
+run_tool(${SWEEP} run ${SPEC} --out plain.json)
 
-function(run_tool tool)
-  execute_process(COMMAND ${tool} ${ARGN}
-    WORKING_DIRECTORY ${WORK_DIR}
-    RESULT_VARIABLE rc
-    OUTPUT_VARIABLE out
-    ERROR_VARIABLE err)
-  if(NOT rc EQUAL 0)
-    message(FATAL_ERROR "${tool} ${ARGN} exited ${rc}:\n${out}\n${err}")
-  endif()
-endfunction()
-
-# Same, but with SPROUT_OBS=1 in the child's environment.
-function(run_tool_obs tool)
-  execute_process(COMMAND ${CMAKE_COMMAND} -E env SPROUT_OBS=1
-    ${tool} ${ARGN}
-    WORKING_DIRECTORY ${WORK_DIR}
-    RESULT_VARIABLE rc
-    OUTPUT_VARIABLE out
-    ERROR_VARIABLE err)
-  if(NOT rc EQUAL 0)
-    message(FATAL_ERROR
-      "SPROUT_OBS=1 ${tool} ${ARGN} exited ${rc}:\n${out}\n${err}")
-  endif()
-endfunction()
-
-function(require_same a b what)
-  execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
-    ${WORK_DIR}/${a} ${WORK_DIR}/${b}
-    RESULT_VARIABLE same)
-  if(NOT same EQUAL 0)
-    message(FATAL_ERROR
-      "${what}: ${WORK_DIR}/${a} differs from ${WORK_DIR}/${b}")
-  endif()
-endfunction()
-
-# The untelemetered reference.
-run_tool(${SWEEP_SHARD} run --spec ${SPEC_FILE} --out plain.json)
-
-# Hot-path counting on: same bytes.
-run_tool_obs(${SWEEP_SHARD} run --spec ${SPEC_FILE} --out obs_on.json)
+run_tool(${OBS_ON} ${SWEEP} run ${SPEC} --out obs_on.json)
 require_same(obs_on.json plain.json
   "SPROUT_OBS=1 sweep vs untelemetered sweep")
 
-# Full telemetry: metrics feed, trace, runtime stamps — and after the
-# stamps are stripped, the same bytes again.
-run_tool_obs(${SWEEP_ORCHESTRATE} run --spec ${SPEC_FILE}
-  --journal-dir jobs --out orch_obs.json --workers 2 --quiet
+run_tool(${OBS_ON} ${SWEEP} run ${SPEC} --journal-dir jobs
+  --out orch_obs.json --workers 2 --quiet
   --metrics-out metrics.jsonl --trace-out trace.json)
-run_tool(${OBS_REPORT} validate-metrics metrics.jsonl)
-run_tool(${OBS_REPORT} validate-trace trace.json)
-run_tool(${OBS_REPORT} strip-runtime orch_obs.json orch_stripped.json)
+run_tool(${SWEEP_REPORT} validate metrics metrics.jsonl)
+run_tool(${SWEEP_REPORT} validate trace trace.json)
+run_tool(${SWEEP_REPORT} metrics metrics.jsonl)
+run_tool(${SWEEP_REPORT} runtime orch_obs.json)
+run_tool(${SWEEP_REPORT} strip runtime orch_obs.json orch_stripped.json)
 require_same(orch_stripped.json plain.json
   "runtime-stripped telemetered orchestration vs untelemetered sweep")
 
 message(STATUS "observability leaves every sweep byte-identical: "
-  "SPROUT_OBS=1 outright, --metrics-out after strip-runtime")
+  "SPROUT_OBS=1 outright, --metrics-out after strip runtime")

@@ -1,92 +1,43 @@
-# Acceptance check for the fault-tolerant orchestrator, run as a ctest
-# target: a run killed mid-flight (--halt-after SIGKILLs every worker, the
-# same wound as kill -9 of the job tree) must resume from its journals
-# into a sweep file byte-identical to the single-process run; the journals
-# must export into shard files the plain sweep_shard merge accepts with
-# the same bytes; and a cell forced to crash its worker on every attempt
-# must land on the poison list (exit 3) without sinking the sweep —
-# resuming after the "fix" completes it.
-# Expects:
-#   -DSWEEP_ORCHESTRATE=<path to the sweep_orchestrate binary>
-#   -DSWEEP_SHARD=<path to the sweep_shard binary>
-#   -DSPEC_FILE=<path to specs/coexistence_smoke.json>
-#   -DWORK_DIR=<scratch directory>
-if(NOT SWEEP_ORCHESTRATE OR NOT SWEEP_SHARD OR NOT SPEC_FILE OR NOT WORK_DIR)
-  message(FATAL_ERROR "need -DSWEEP_ORCHESTRATE=... -DSWEEP_SHARD=... "
-    "-DSPEC_FILE=... -DWORK_DIR=...")
-endif()
+# Acceptance check for the fault-tolerant orchestrator (sweep run
+# --journal-dir): a run killed mid-flight (--halt-after SIGKILLs every
+# worker, the same wound as kill -9 of the job tree) must resume from its
+# journals byte-identical to the single-process run; the journals must
+# export into shard files `sweep merge` accepts with the same bytes; and a
+# cell that crashes its worker on every attempt must land on the poison
+# list (exit 3) without sinking the sweep — resuming after the "fix"
+# completes it.
+include(${CMAKE_CURRENT_LIST_DIR}/roundtrip_common.cmake)
 
-file(REMOVE_RECURSE ${WORK_DIR})
-file(MAKE_DIRECTORY ${WORK_DIR})
-
-# Like run_tool, but demands a SPECIFIC exit code — the orchestrator's
-# halted (4) and poisoned (3) outcomes are contracts, not failures.
-function(run_expect expected_rc tool)
-  execute_process(COMMAND ${tool} ${ARGN}
-    WORKING_DIRECTORY ${WORK_DIR}
-    RESULT_VARIABLE rc
-    OUTPUT_VARIABLE out
-    ERROR_VARIABLE err)
-  if(NOT rc EQUAL expected_rc)
-    message(FATAL_ERROR
-      "${tool} ${ARGN} exited ${rc}, expected ${expected_rc}:\n${out}\n${err}")
-  endif()
-endfunction()
-
-function(run_tool tool)
-  run_expect(0 ${tool} ${ARGN})
-endfunction()
-
-function(require_same a b what)
-  execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
-    ${WORK_DIR}/${a} ${WORK_DIR}/${b}
-    RESULT_VARIABLE same)
-  if(NOT same EQUAL 0)
-    message(FATAL_ERROR
-      "${what}: ${WORK_DIR}/${a} differs from ${WORK_DIR}/${b}")
-  endif()
-endfunction()
-
-# The single-process reference.
-run_tool(${SWEEP_SHARD} run --spec ${SPEC_FILE} --out full.json)
+set(SPEC --spec ${SPECS}/coexistence_smoke.json)
+run_tool(${SWEEP} run ${SPEC} --out full.json)
 
 # --- kill mid-run, resume ------------------------------------------------
-# Two cells in, every worker is SIGKILLed (exit 4, journals kept)...
-run_expect(4 ${SWEEP_ORCHESTRATE} run --spec ${SPEC_FILE}
-  --journal-dir jkill --out orch.json --workers 2 --halt-after 2 --quiet)
-# ...and re-running the same command resumes to the same bytes.
-run_tool(${SWEEP_ORCHESTRATE} run --spec ${SPEC_FILE}
-  --journal-dir jkill --out orch.json --workers 2 --quiet)
+run_expect(4 ${SWEEP} run ${SPEC} --journal-dir jkill --out orch.json
+  --workers 2 --halt-after 2 --quiet)
+run_tool(${SWEEP} status ${SPEC} --journal-dir jkill)
+run_tool(${SWEEP} run ${SPEC} --journal-dir jkill --out orch.json
+  --workers 2 --quiet)
 require_same(orch.json full.json
   "killed + resumed orchestrated sweep vs single-process run")
 
 # --- journals replay through the plain shard merge -----------------------
-run_tool(${SWEEP_ORCHESTRATE} export --spec ${SPEC_FILE}
-  --journal-dir jkill --out-prefix exported_)
+run_tool(${SWEEP} export ${SPEC} --journal-dir jkill --out-prefix exported_)
 file(GLOB exported RELATIVE ${WORK_DIR} ${WORK_DIR}/exported_*.json)
-run_tool(${SWEEP_SHARD} merge --spec ${SPEC_FILE} --out remerged.json
-  ${exported})
+run_tool(${SWEEP} merge ${SPEC} --out remerged.json ${exported})
 require_same(remerged.json full.json
-  "journal-exported shards merged by sweep_shard vs single-process run")
+  "journal-exported shards merged vs single-process run")
 
 # --- poison path ---------------------------------------------------------
-# Cell 0 crashes its worker on every attempt: quarantined after
-# --max-attempts (exit 3, report written), the other cells complete...
-run_expect(3 ${SWEEP_ORCHESTRATE} run --spec ${SPEC_FILE}
-  --journal-dir jpoison --out poisoned.json --workers 2
-  --crash-cell 0 --max-attempts 2 --retry-backoff 0.05
+run_expect(3 ${SWEEP} run ${SPEC} --journal-dir jpoison --out poisoned.json
+  --workers 2 --crash-cell 0 --max-attempts 2 --retry-backoff 0.05
   --poison-report poison.json --quiet)
-if(NOT EXISTS ${WORK_DIR}/poison.json)
-  message(FATAL_ERROR "poisoned run wrote no poison report")
-endif()
 file(READ ${WORK_DIR}/poison.json poison_report)
 if(NOT poison_report MATCHES "\"index\": 0")
   message(FATAL_ERROR
     "poison report does not name the crashed cell:\n${poison_report}")
 endif()
-# ...and with the crash hook gone the same journals resume to completion.
-run_tool(${SWEEP_ORCHESTRATE} run --spec ${SPEC_FILE}
-  --journal-dir jpoison --out poisoned.json --workers 2 --quiet)
+run_tool(${SWEEP} run ${SPEC} --journal-dir jpoison --out poisoned.json
+  --workers 2 --quiet)
 require_same(poisoned.json full.json
   "post-poison resumed sweep vs single-process run")
 

@@ -1,44 +1,10 @@
-# Acceptance check for sharded sweeps, run as a ctest target: a 3-shard
-# multi-PROCESS run of the coexistence smoke grid must merge into a sweep
-# file byte-identical to the single-process run's.  Expects:
-#   -DSWEEP_SHARD=<path to the sweep_shard binary>
-#   -DWORK_DIR=<scratch directory>
-if(NOT SWEEP_SHARD OR NOT WORK_DIR)
-  message(FATAL_ERROR "need -DSWEEP_SHARD=... and -DWORK_DIR=...")
-endif()
+# Acceptance check for sharded sweeps: a 3-shard multi-PROCESS run of the
+# compiled coexistence smoke grid (round-robin cut) must merge into a sweep
+# file byte-identical to the single-process run's.  Also holds the sweep
+# CLIs' flag checks.
+include(${CMAKE_CURRENT_LIST_DIR}/roundtrip_common.cmake)
 
-file(REMOVE_RECURSE ${WORK_DIR})
-file(MAKE_DIRECTORY ${WORK_DIR})
+require_usage_errors()
+sweep_roundtrip(3 --grid coexistence-smoke --seconds 10 --base-seed 42)
 
-set(GRID --grid coexistence-smoke --seconds 10 --base-seed 42)
-
-function(run_step)
-  execute_process(COMMAND ${SWEEP_SHARD} ${ARGN}
-    WORKING_DIRECTORY ${WORK_DIR}
-    RESULT_VARIABLE rc
-    OUTPUT_VARIABLE out
-    ERROR_VARIABLE err)
-  if(NOT rc EQUAL 0)
-    message(FATAL_ERROR "sweep_shard ${ARGN} failed (${rc}):\n${out}\n${err}")
-  endif()
-endfunction()
-
-# Three shard processes (any of these could run on another machine)...
-foreach(i RANGE 1 3)
-  run_step(run ${GRID} --shard ${i}/3 --out shard${i}.json)
-endforeach()
-# ...one merge, verified against the grid's content address...
-run_step(merge ${GRID} --out merged.json
-         shard1.json shard2.json shard3.json)
-# ...and the single-process reference.
-run_step(run ${GRID} --out full.json)
-
-execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
-  ${WORK_DIR}/merged.json ${WORK_DIR}/full.json
-  RESULT_VARIABLE same)
-if(NOT same EQUAL 0)
-  message(FATAL_ERROR
-    "merged 3-shard sweep differs from the single-process run "
-    "(${WORK_DIR}/merged.json vs ${WORK_DIR}/full.json)")
-endif()
 message(STATUS "3-shard merge is byte-identical to the single-process sweep")

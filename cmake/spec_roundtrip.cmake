@@ -1,63 +1,15 @@
-# Acceptance check for declarative experiment specs, run as a ctest
-# target: a sweep defined ONLY by the checked-in JSON spec must produce
-# byte-identical results to the equivalent compiled-in grid, both as one
-# process and as an LPT-sharded 3-process run.  Expects:
-#   -DSWEEP_SHARD=<path to the sweep_shard binary>
-#   -DSPEC_LINT=<path to the spec_lint binary>
-#   -DSPEC_FILE=<path to specs/coexistence_smoke.json>
-#   -DWORK_DIR=<scratch directory>
-if(NOT SWEEP_SHARD OR NOT SPEC_LINT OR NOT SPEC_FILE OR NOT WORK_DIR)
-  message(FATAL_ERROR
-    "need -DSWEEP_SHARD=... -DSPEC_LINT=... -DSPEC_FILE=... -DWORK_DIR=...")
-endif()
+# Acceptance check for declarative experiment specs: a sweep defined ONLY
+# by the checked-in JSON spec must lint clean and produce byte-identical
+# results to the equivalent compiled-in grid, both as one process and as an
+# LPT-sharded 3-process run (the spec's plan.strategy is lpt).
+include(${CMAKE_CURRENT_LIST_DIR}/roundtrip_common.cmake)
 
-file(REMOVE_RECURSE ${WORK_DIR})
-file(MAKE_DIRECTORY ${WORK_DIR})
-
-function(run_step)
-  execute_process(COMMAND ${ARGN}
-    WORKING_DIRECTORY ${WORK_DIR}
-    RESULT_VARIABLE rc
-    OUTPUT_VARIABLE out
-    ERROR_VARIABLE err)
-  if(NOT rc EQUAL 0)
-    message(FATAL_ERROR "${ARGN} failed (${rc}):\n${out}\n${err}")
-  endif()
-endfunction()
-
-# The spec must lint clean...
-run_step(${SPEC_LINT} ${SPEC_FILE} --expand --shards 3)
-
-# ...the spec-defined sweep must equal the compiled grid it mirrors
-# (--seconds 10 --base-seed 42 is what the spec file encodes)...
-run_step(${SWEEP_SHARD} run --spec ${SPEC_FILE} --out full_spec.json)
-run_step(${SWEEP_SHARD} run --grid coexistence-smoke --seconds 10
-         --base-seed 42 --out full_grid.json)
-execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
-  ${WORK_DIR}/full_spec.json ${WORK_DIR}/full_grid.json
-  RESULT_VARIABLE same)
-if(NOT same EQUAL 0)
-  message(FATAL_ERROR
-    "spec-defined sweep differs from the compiled-in grid "
-    "(${WORK_DIR}/full_spec.json vs ${WORK_DIR}/full_grid.json)")
-endif()
-
-# ...and an LPT-sharded 3-process run of the spec (its plan.strategy is
-# lpt) must merge back to the same bytes.
-foreach(i RANGE 1 3)
-  run_step(${SWEEP_SHARD} run --spec ${SPEC_FILE} --shard ${i}/3
-           --out shard${i}.json)
-endforeach()
-run_step(${SWEEP_SHARD} merge --spec ${SPEC_FILE} --out merged.json
-         shard1.json shard2.json shard3.json)
-execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
-  ${WORK_DIR}/merged.json ${WORK_DIR}/full_spec.json
-  RESULT_VARIABLE same)
-if(NOT same EQUAL 0)
-  message(FATAL_ERROR
-    "LPT 3-shard merge differs from the single-process spec run "
-    "(${WORK_DIR}/merged.json vs ${WORK_DIR}/full_spec.json)")
-endif()
+sweep_roundtrip(3 --spec ${SPECS}/coexistence_smoke.json)
+# --seconds 10 --base-seed 42 is what the spec file encodes.
+run_tool(${SWEEP} run --grid coexistence-smoke --seconds 10 --base-seed 42
+  --out full_grid.json)
+require_same(full_grid.json full.json
+  "compiled-in grid vs spec-defined sweep")
 
 message(STATUS
   "spec-defined sweep is byte-identical to the compiled grid, serial and "

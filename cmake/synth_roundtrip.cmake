@@ -1,68 +1,17 @@
-# Acceptance check for the channel-synthesis subsystem, run as a ctest
-# target: a sweep whose channels exist ONLY as synth parameters in the
-# checked-in JSON spec (no trace on disk) must lint clean, run, and be
-# byte-identical between a single process and a 2-way sharded run; the
-# trace_synth generator itself must be deterministic across invocations.
-# Expects:
-#   -DSWEEP_SHARD=<path to the sweep_shard binary>
-#   -DSPEC_LINT=<path to the spec_lint binary>
-#   -DTRACE_SYNTH=<path to the trace_synth binary>
-#   -DSPEC_FILE=<path to specs/synth_smoke.json>
-#   -DWORK_DIR=<scratch directory>
-if(NOT SWEEP_SHARD OR NOT SPEC_LINT OR NOT TRACE_SYNTH OR NOT SPEC_FILE
-   OR NOT WORK_DIR)
-  message(FATAL_ERROR
-    "need -DSWEEP_SHARD=... -DSPEC_LINT=... -DTRACE_SYNTH=... "
-    "-DSPEC_FILE=... -DWORK_DIR=...")
-endif()
+# Acceptance check for the channel-synthesis subsystem: a sweep whose
+# channels exist ONLY as synth parameters in the checked-in spec (no trace
+# on disk) must lint clean and be byte-identical between one process and a
+# 2-way sharded run; trace_synth itself must be deterministic.
+include(${CMAKE_CURRENT_LIST_DIR}/roundtrip_common.cmake)
 
-file(REMOVE_RECURSE ${WORK_DIR})
-file(MAKE_DIRECTORY ${WORK_DIR})
-
-function(run_step)
-  execute_process(COMMAND ${ARGN}
-    WORKING_DIRECTORY ${WORK_DIR}
-    RESULT_VARIABLE rc
-    OUTPUT_VARIABLE out
-    ERROR_VARIABLE err)
-  if(NOT rc EQUAL 0)
-    message(FATAL_ERROR "${ARGN} failed (${rc}):\n${out}\n${err}")
-  endif()
-endfunction()
-
-function(require_same a b what)
-  execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
-    ${WORK_DIR}/${a} ${WORK_DIR}/${b}
-    RESULT_VARIABLE same)
-  if(NOT same EQUAL 0)
-    message(FATAL_ERROR
-      "${what} (${WORK_DIR}/${a} vs ${WORK_DIR}/${b})")
-  endif()
-endfunction()
-
-# The generator is deterministic: two invocations, identical trace files.
-run_step(${TRACE_SYNTH} --model markov --duration 30 --seed 9
-         --out mmpp_a.tr)
-run_step(${TRACE_SYNTH} --model markov --duration 30 --seed 9
-         --out mmpp_b.tr)
+run_tool(${TRACE_SYNTH} --model markov --duration 30 --seed 9
+  --out mmpp_a.tr --plot)
+run_tool(${TRACE_SYNTH} --model markov --duration 30 --seed 9
+  --out mmpp_b.tr)
 require_same(mmpp_a.tr mmpp_b.tr
-             "trace_synth produced different traces for identical inputs")
+  "trace_synth output for identical inputs")
 
-# The spec must lint clean (its grid sweeps two synth parameters via
-# numeric range axes)...
-run_step(${SPEC_LINT} ${SPEC_FILE} --expand --shards 2)
-
-# ...and a fully synthetic sweep must be byte-identical between one
-# process and an LPT-sharded 2-process run.
-run_step(${SWEEP_SHARD} run --spec ${SPEC_FILE} --out full.json)
-foreach(i RANGE 1 2)
-  run_step(${SWEEP_SHARD} run --spec ${SPEC_FILE} --shard ${i}/2
-           --out shard${i}.json)
-endforeach()
-run_step(${SWEEP_SHARD} merge --spec ${SPEC_FILE} --out merged.json
-         shard1.json shard2.json)
-require_same(merged.json full.json
-             "2-shard synth sweep differs from the single-process run")
+sweep_roundtrip(2 --spec ${SPECS}/synth_smoke.json)
 
 message(STATUS
   "synth spec sweep is byte-identical single-process and sharded; "

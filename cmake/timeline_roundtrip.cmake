@@ -1,104 +1,53 @@
-# Acceptance check for the flight recorder, run as a ctest target: the
-# timeline is a pure observer.  The same grid is swept four ways —
-# timeline-off (the reference), timeline-on serial, timeline-on with the
-# in-process thread pool, and timeline-on cut into two lpt shards and
-# merged — and every timeline-on sweep must be byte-identical to the
-# others, must validate against the strict timeline schema, and must
-# reduce to the timeline-off reference after `timeline_report
-# strip-timeline`.  A tower grid repeats the off-vs-stripped check so the
-# streaming topology is held to the same contract.
-# Expects:
-#   -DSWEEP_SHARD=<path to the sweep_shard binary>
-#   -DTIMELINE_REPORT=<path to the timeline_report binary>
-#   -DSPEC_FILE=<path to specs/coexistence_smoke.json>
-#   -DTOWER_SPEC_FILE=<path to specs/tower_smoke.json>
-#   -DWORK_DIR=<scratch directory>
-if(NOT SWEEP_SHARD OR NOT TIMELINE_REPORT OR NOT SPEC_FILE OR
-   NOT TOWER_SPEC_FILE OR NOT WORK_DIR)
-  message(FATAL_ERROR "need -DSWEEP_SHARD=... -DTIMELINE_REPORT=... "
-    "-DSPEC_FILE=... -DTOWER_SPEC_FILE=... -DWORK_DIR=...")
-endif()
+# Acceptance check for the flight recorder: the timeline is a pure
+# observer.  With --timeline on, serial == thread pool == two LPT shards
+# merged, bitwise; the timelines pass the strict schema gate (which must
+# reject a corrupted feed, naming the timeline path), render and export;
+# and `sweep_report strip timeline` reduces every timeline-on sweep —
+# coexistence and tower alike — to the recorder-off bytes exactly.
+include(${CMAKE_CURRENT_LIST_DIR}/roundtrip_common.cmake)
 
-file(REMOVE_RECURSE ${WORK_DIR})
-file(MAKE_DIRECTORY ${WORK_DIR})
+set(SPEC --spec ${SPECS}/coexistence_smoke.json)
+set(TOWER --spec ${SPECS}/tower_smoke.json)
+run_tool(${SWEEP} run ${SPEC} --out off.json --workers 1)
 
-function(run_tool tool)
-  execute_process(COMMAND ${tool} ${ARGN}
-    WORKING_DIRECTORY ${WORK_DIR}
-    RESULT_VARIABLE rc
-    OUTPUT_VARIABLE out
-    ERROR_VARIABLE err)
-  if(NOT rc EQUAL 0)
-    message(FATAL_ERROR "${tool} ${ARGN} exited ${rc}:\n${out}\n${err}")
-  endif()
-endfunction()
-
-function(require_same a b what)
-  execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
-    ${WORK_DIR}/${a} ${WORK_DIR}/${b}
-    RESULT_VARIABLE same)
-  if(NOT same EQUAL 0)
-    message(FATAL_ERROR
-      "${what}: ${WORK_DIR}/${a} differs from ${WORK_DIR}/${b}")
-  endif()
-endfunction()
-
-# The recorder-off reference.
-run_tool(${SWEEP_SHARD} run --spec ${SPEC_FILE} --out off.json --threads 1)
-
-# Timeline on: serial, thread-pool, and two-shard-merged must agree
-# bitwise (record_timeline is excluded from the fingerprint, so the
-# shards cut the same grid the reference ran).
-run_tool(${SWEEP_SHARD} run --spec ${SPEC_FILE} --out on_serial.json
-  --threads 1 --timeline)
-run_tool(${SWEEP_SHARD} run --spec ${SPEC_FILE} --out on_pool.json
-  --threads 4 --timeline)
-run_tool(${SWEEP_SHARD} run --spec ${SPEC_FILE} --out shard0.json
-  --shard 1/2 --strategy lpt --timeline)
-run_tool(${SWEEP_SHARD} run --spec ${SPEC_FILE} --out shard1.json
-  --shard 2/2 --strategy lpt --timeline)
-run_tool(${SWEEP_SHARD} merge --out on_merged.json shard0.json shard1.json)
+run_tool(${SWEEP} run ${SPEC} --out on_serial.json --workers 1 --timeline)
+run_tool(${SWEEP} run ${SPEC} --out on_pool.json --workers 4 --timeline)
+foreach(i RANGE 1 2)
+  run_tool(${SWEEP} run ${SPEC} --out shard${i}.json
+    --shard ${i}/2 --strategy lpt --timeline)
+endforeach()
+run_tool(${SWEEP} merge --out on_merged.json shard1.json shard2.json)
 require_same(on_pool.json on_serial.json
   "timeline-on thread-pool sweep vs serial sweep")
 require_same(on_merged.json on_serial.json
   "timeline-on two-shard merge vs serial sweep")
 
-# The timelines themselves pass the strict schema gate, and stripping
-# them reproduces the recorder-off bytes exactly.
-run_tool(${TIMELINE_REPORT} validate-timeline on_serial.json)
-run_tool(${TIMELINE_REPORT} strip-timeline on_serial.json stripped.json)
+run_tool(${SWEEP_REPORT} validate timeline on_serial.json)
+run_tool(${SWEEP_REPORT} strip timeline on_serial.json stripped.json)
 require_same(stripped.json off.json
   "timeline-stripped sweep vs recorder-off sweep")
 
-# The schema gate must REJECT a malformed feed, naming the offending
-# timeline's path: corrupt one geometry field and expect exit 1.
+# Corrupt one geometry field: the gate must reject it, naming the path.
 file(READ ${WORK_DIR}/on_serial.json good_text)
 string(REPLACE "\"bin_s\": 0.5" "\"bin_s\": -1" bad_text "${good_text}")
 if(bad_text STREQUAL good_text)
   message(FATAL_ERROR "corruption probe matched nothing in on_serial.json")
 endif()
 file(WRITE ${WORK_DIR}/corrupt.json "${bad_text}")
-execute_process(COMMAND ${TIMELINE_REPORT} validate-timeline corrupt.json
-  WORKING_DIRECTORY ${WORK_DIR}
-  RESULT_VARIABLE bad_rc
-  OUTPUT_VARIABLE bad_out
-  ERROR_VARIABLE bad_err)
-if(bad_rc EQUAL 0)
-  message(FATAL_ERROR "validate-timeline accepted a corrupted feed")
-endif()
-if(NOT bad_err MATCHES "timeline")
-  message(FATAL_ERROR
-    "validate-timeline rejection names no timeline path:\n${bad_err}")
-endif()
+run_rejects(1 "timeline" ${SWEEP_REPORT} validate timeline corrupt.json)
 
-# Tower grid: the streaming topology records, validates and strips under
-# the same contract.
-run_tool(${SWEEP_SHARD} run --spec ${TOWER_SPEC_FILE} --out tower_off.json
-  --threads 2)
-run_tool(${SWEEP_SHARD} run --spec ${TOWER_SPEC_FILE} --out tower_on.json
-  --threads 2 --timeline)
-run_tool(${TIMELINE_REPORT} validate-timeline tower_on.json)
-run_tool(${TIMELINE_REPORT} strip-timeline tower_on.json tower_stripped.json)
+# Tower grid: recorded, validated, rendered, exported and stripped under the
+# same contract.
+run_tool(${SWEEP} run ${TOWER} --out tower_off.json --workers 2)
+run_tool(${SWEEP} run ${TOWER} --out tower_on.json --workers 2 --timeline)
+run_tool(${SWEEP_REPORT} validate timeline tower_on.json)
+run_expect(0 ${SWEEP_REPORT} chart tower_on.json)
+file(WRITE ${WORK_DIR}/timeline_chart.txt "${STDOUT}")
+run_tool(${SWEEP_REPORT} export tower_on.json --out timeline.jsonl)
+run_tool(${SWEEP_REPORT} export tower_on.json --out timeline.csv
+  --format csv --cell 0)
+run_tool(${SWEEP_REPORT} export-trace tower_on.json --out timeline_trace.json)
+run_tool(${SWEEP_REPORT} strip timeline tower_on.json tower_stripped.json)
 require_same(tower_stripped.json tower_off.json
   "timeline-stripped tower sweep vs recorder-off tower sweep")
 

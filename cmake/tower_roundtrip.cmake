@@ -1,49 +1,10 @@
-# Acceptance check for the tower topology, run as a ctest target: the
-# checked-in tower smoke spec (64 churning users per cell) must lint, and a
-# 2-shard multi-PROCESS run must merge into a sweep file byte-identical to
-# the single-process run's — per-user channels, the PF schedule, Poisson
-# churn and the streaming population histograms all reproduced exactly.
-# Expects:
-#   -DSWEEP_SHARD=<path to the sweep_shard binary>
-#   -DSPEC_LINT=<path to the spec_lint binary>
-#   -DSPEC_FILE=<path to specs/tower_smoke.json>
-#   -DWORK_DIR=<scratch directory>
-if(NOT SWEEP_SHARD OR NOT SPEC_LINT OR NOT SPEC_FILE OR NOT WORK_DIR)
-  message(FATAL_ERROR
-    "need -DSWEEP_SHARD=... -DSPEC_LINT=... -DSPEC_FILE=... -DWORK_DIR=...")
-endif()
+# Acceptance check for the tower topology: the checked-in tower smoke spec
+# (64 churning users per cell) must lint, and a 2-shard multi-PROCESS run
+# must merge byte-identical to the single-process run — per-user channels,
+# the PF schedule, Poisson churn and the streaming population histograms
+# all reproduced exactly.
+include(${CMAKE_CURRENT_LIST_DIR}/roundtrip_common.cmake)
 
-file(REMOVE_RECURSE ${WORK_DIR})
-file(MAKE_DIRECTORY ${WORK_DIR})
+sweep_roundtrip(2 --spec ${SPECS}/tower_smoke.json)
 
-function(run_tool tool)
-  execute_process(COMMAND ${tool} ${ARGN}
-    WORKING_DIRECTORY ${WORK_DIR}
-    RESULT_VARIABLE rc
-    OUTPUT_VARIABLE out
-    ERROR_VARIABLE err)
-  if(NOT rc EQUAL 0)
-    message(FATAL_ERROR "${tool} ${ARGN} failed (${rc}):\n${out}\n${err}")
-  endif()
-endfunction()
-
-# The spec must lint (strict reader, shard plan preview included)...
-run_tool(${SPEC_LINT} ${SPEC_FILE} --shards 2)
-# ...two shard processes each take one tower cell...
-run_tool(${SWEEP_SHARD} run --spec ${SPEC_FILE} --shard 1/2 --out shard1.json)
-run_tool(${SWEEP_SHARD} run --spec ${SPEC_FILE} --shard 2/2 --out shard2.json)
-# ...one merge, verified against the spec's content address...
-run_tool(${SWEEP_SHARD} merge --spec ${SPEC_FILE} --out merged.json
-         shard1.json shard2.json)
-# ...and the single-process reference.
-run_tool(${SWEEP_SHARD} run --spec ${SPEC_FILE} --out full.json)
-
-execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
-  ${WORK_DIR}/merged.json ${WORK_DIR}/full.json
-  RESULT_VARIABLE same)
-if(NOT same EQUAL 0)
-  message(FATAL_ERROR
-    "merged 2-shard tower sweep differs from the single-process run "
-    "(${WORK_DIR}/merged.json vs ${WORK_DIR}/full.json)")
-endif()
 message(STATUS "2-shard tower merge is byte-identical to the single-process sweep")

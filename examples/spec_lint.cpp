@@ -3,7 +3,7 @@
 // The spec subsystem's reader is strict and path-aware, so linting is just
 // parsing: a clean exit means every cell of the expanded grid passed the
 // same validation the runner applies, and the printed fingerprint is the
-// exact content address `sweep_shard run/merge` will stamp on results.
+// exact content address `sweep run/merge` will stamp on results.
 //
 //   spec_lint FILE              summary: cells, cost, strategy, fingerprint
 //   spec_lint FILE --expand     per-cell table of the expanded grid

@@ -1,0 +1,585 @@
+// sweep — run, shard, merge and resume scenario sweeps.
+//
+// A sweep is a grid of independent cells: the compiled-in set (--grid
+// NAME, see spec/builtin.h) or a declarative JSON experiment (--spec FILE,
+// see spec/grid.h; `dump` writes any compiled grid as a spec to start
+// from).  Per-cell seeds are content-derived, so every way of running a
+// grid produces the same bytes:
+//
+//     serial == thread pool == N shard processes, merged
+//            == orchestrated (killed + resumed), exported, merged
+//
+// and the cmake/*_roundtrip.cmake ctests (label `roundtrip`) diff exactly
+// that.
+//
+//   sweep list   [--seconds N] [--spec FILE] [SHARD.json...]
+//   sweep dump   --grid NAME --out SPEC.json
+//   sweep run    --spec specs/coexistence_smoke.json --out full.json
+//   sweep run    --spec specs/coexistence_smoke.json --shard 1/3 --out s1.json
+//   sweep run    --grid coexistence-smoke --cells 0,2 --out s.json
+//   sweep merge  --spec specs/coexistence_smoke.json --out merged.json s*.json
+//   sweep run    --spec specs/tower_smoke.json --journal-dir j/ --out s.json
+//   sweep status --spec specs/tower_smoke.json --journal-dir j/
+//   sweep export --spec specs/tower_smoke.json --journal-dir j/
+//                --out-prefix j/shard_
+//
+// `run` without --journal-dir runs in this process (run_sweep/run_shard),
+// optionally one static slice of the grid: --shard I/N cut by --strategy
+// round-robin|lpt (a spec file's plan.strategy is the default), or an
+// explicit --cells list.  `run --journal-dir DIR` runs under the
+// fault-tolerant orchestrator (runner/orchestrator.h): forked
+// work-stealing workers append every completed cell to a per-worker
+// journal, so re-running a killed command resumes from the last completed
+// cell.  Crashing cells are retried with doubling backoff (--max-attempts,
+// --retry-backoff) and then quarantined (--poison-report); --cell-timeout
+// reclaims hung workers.  `status` reports journal coverage; `export`
+// replays each journal into a shard file `merge` accepts.
+//
+// --workers N counts threads in-process and forked workers when
+// orchestrated; leaving it out uses all cores.  --timeline flight-records
+// every cell (sweep_report charts it).  Orchestrated telemetry:
+// --metrics-out streams a JSONL event feed and stamps each result with a
+// "runtime" field, --trace-out writes a Chrome trace; --quiet silences the
+// progress line only.  Fault hooks for tests: --halt-after N (SIGKILL every
+// worker after N completions), --crash-cell I[:N], --hang-cell I[:N].
+//
+// Flags that shape the grid (--grid/--spec, --seconds, --base-seed) must
+// agree across the invocations of one sweep; the sweep fingerprint turns
+// any disagreement into a hard error instead of a silently different grid.
+//
+// Exit codes: 0 complete, 1 error, 2 usage, 3 poisoned cells (journals
+// keep the finished ones), 4 halted by --halt-after.
+#include <algorithm>
+#include <iostream>
+#include <string>
+#include <string_view>
+#include <vector>
+
+#include "cli_io.h"
+#include "runner/orchestrator.h"
+#include "spec/builtin.h"
+#include "spec/grid.h"
+#include "spec/plan.h"
+#include "util/table.h"
+
+namespace {
+
+using namespace sprout;
+using cli::UsageError;
+using cli::read_file;
+using cli::write_file;
+
+// Where the grid comes from and how it is cut.
+struct GridSource {
+  std::string grid_name;  // --grid
+  std::string spec_path;  // --spec
+  int seconds = 20;
+  bool seconds_given = false;
+  bool timeline = false;  // --timeline: flight-record every cell
+  std::optional<std::uint64_t> base_seed;
+  std::optional<spec::PartitionStrategy> strategy;  // --strategy
+};
+
+struct ResolvedGrid {
+  std::string label;  // grid name or spec name/path, for messages
+  spec::PartitionStrategy strategy = spec::PartitionStrategy::kRoundRobin;
+  SweepSpec sweep;
+};
+
+ResolvedGrid resolve_grid(const GridSource& source) {
+  ResolvedGrid grid;
+  if (!source.spec_path.empty()) {
+    // A spec file is self-contained; grid-shaping flags contradict it.
+    if (source.seconds_given) {
+      throw UsageError(
+          "--seconds: shapes compiled grids; a spec file carries its own "
+          "durations");
+    }
+    if (source.base_seed.has_value()) {
+      throw UsageError(
+          "--base-seed: shapes compiled grids; set base_seed in the spec "
+          "file instead");
+    }
+    spec::ExperimentSpec experiment =
+        spec::parse_experiment_file(source.spec_path);
+    grid.label = experiment.name.empty() ? source.spec_path : experiment.name;
+    grid.strategy = experiment.strategy;
+    grid.sweep = std::move(experiment.sweep);
+  } else {
+    spec::BuiltinGridOptions options;
+    options.seconds = source.seconds;
+    options.base_seed = source.base_seed;
+    grid.label = source.grid_name;
+    grid.sweep = spec::build_builtin_grid(source.grid_name, options);
+  }
+  if (source.strategy.has_value()) grid.strategy = *source.strategy;
+  // record_timeline is excluded from scenario fingerprints, so shards and
+  // journals written with and without --timeline cut the same grid.
+  if (source.timeline) {
+    for (ScenarioSpec& cell : grid.sweep.cells) cell.record_timeline = true;
+  }
+  return grid;
+}
+
+int usage() {
+  std::cerr <<
+      "usage:\n"
+      "  sweep list   [--seconds N] [--spec FILE] [SHARD.json...]\n"
+      "  sweep dump   --grid NAME --out SPEC.json [--seconds N]"
+      " [--base-seed S]\n"
+      "  sweep run    GRID --out PATH [--workers N] [--timeline]\n"
+      "               [--shard I/N [--strategy round-robin|lpt] |"
+      " --cells A,B,C]\n"
+      "  sweep run    GRID --out PATH --journal-dir DIR [--workers N]"
+      " [--timeline]\n"
+      "               [--max-attempts K] [--retry-backoff S]"
+      " [--cell-timeout S]\n"
+      "               [--poison-report PATH] [--quiet] [--metrics-out PATH]"
+      " [--trace-out PATH]\n"
+      "               [--halt-after N] [--crash-cell I[:N]]"
+      " [--hang-cell I[:N]]\n"
+      "  sweep merge  --out PATH [GRID] SHARD.json...\n"
+      "  sweep status GRID --journal-dir DIR\n"
+      "  sweep export GRID --journal-dir DIR --out-prefix P\n"
+      "GRID is --grid NAME [--seconds N] [--base-seed S] | --spec FILE\n"
+      "exit codes: 0 complete, 1 error, 2 usage, 3 poisoned, 4 halted\n";
+  return 2;
+}
+
+std::uint64_t parse_u64(const std::string& flag, const std::string& text) {
+  std::size_t pos = 0;
+  std::uint64_t v = 0;
+  try {
+    v = std::stoull(text, &pos);
+  } catch (const std::exception&) {
+    pos = std::string::npos;
+  }
+  if (pos != text.size() || text.find('-') != std::string::npos) {
+    throw UsageError(flag + ": must be a non-negative integer, got \"" +
+                     text + "\"");
+  }
+  return v;
+}
+
+// "I/N" (1-based shard number) -> 0-based indices of that shard's cells,
+// cut by the resolved strategy.
+std::vector<std::size_t> parse_shard(const std::string& arg,
+                                     const ResolvedGrid& grid) {
+  const std::size_t slash = arg.find('/');
+  if (slash == std::string::npos) {
+    throw UsageError("--shard: wants I/N, got \"" + arg + "\"");
+  }
+  const int number =
+      cli::parse_int_at_least("--shard", arg.substr(0, slash), 1);
+  const int count =
+      cli::parse_int_at_least("--shard", arg.substr(slash + 1), 1);
+  return spec::plan_shard_indices(grid.sweep, grid.strategy, number - 1,
+                                  count);
+}
+
+std::vector<std::size_t> parse_cells(const std::string& arg) {
+  std::vector<std::size_t> cells;
+  std::size_t start = 0;
+  while (start <= arg.size()) {
+    std::size_t end = arg.find(',', start);
+    if (end == std::string::npos) end = arg.size();
+    if (end > start) {
+      const std::string token = arg.substr(start, end - start);
+      cells.push_back(static_cast<std::size_t>(
+          cli::parse_int_at_least("--cells", token, 0)));
+    }
+    start = end + 1;
+  }
+  if (cells.empty()) {
+    throw UsageError("--cells: wants A,B,C, got \"" + arg + "\"");
+  }
+  return cells;
+}
+
+// "I" (every attempt) or "I:N" (first N attempts) for the fault hooks.
+std::pair<std::size_t, int> parse_fault(const std::string& flag,
+                                        const std::string& text) {
+  const std::size_t colon = text.find(':');
+  const int index = cli::parse_int_at_least(flag, text.substr(0, colon), 0);
+  const int n = colon == std::string::npos
+                    ? -1
+                    : cli::parse_int_at_least(flag, text.substr(colon + 1), 1);
+  return {static_cast<std::size_t>(index), n};
+}
+
+ShardResult read_shard_file(const std::string& path) {
+  try {
+    return read_shard_json(read_file(path));
+  } catch (const std::exception& e) {
+    throw std::runtime_error(path + ": " + e.what());
+  }
+}
+
+int cmd_list(const GridSource& source,
+             const std::vector<std::string>& shard_paths) {
+  if (!shard_paths.empty()) {
+    // Shard-file inspection: which strategy cut each file, what it covers.
+    TableWriter t({"Shard file", "Partition", "Cells", "Of", "Fingerprint"});
+    for (const std::string& path : shard_paths) {
+      const ShardResult shard = read_shard_file(path);
+      t.row()
+          .cell(path)
+          .cell(shard.partition.empty() ? "(unrecorded)" : shard.partition)
+          .cell(static_cast<std::int64_t>(shard.cell_indices.size()))
+          .cell(static_cast<std::int64_t>(shard.total_cells))
+          .cell(std::to_string(shard.sweep_fingerprint));
+    }
+    t.print(std::cout);
+    return 0;
+  }
+
+  TableWriter t({"Grid", "Cells", "Est. cost (Cubic-s)", "Strategy",
+                 "Fingerprint"});
+  const auto add_row = [&](const ResolvedGrid& grid) {
+    double cost = 0.0;
+    for (const ScenarioSpec& cell : grid.sweep.cells) {
+      cost += estimated_cost(cell);
+    }
+    t.row()
+        .cell(grid.label)
+        .cell(static_cast<std::int64_t>(grid.sweep.cells.size()))
+        .cell(cost, 0)
+        .cell(spec::to_string(grid.strategy))
+        .cell(std::to_string(sweep_fingerprint(grid.sweep)));
+  };
+  if (!source.spec_path.empty()) {
+    add_row(resolve_grid(source));
+  } else {
+    for (const std::string& name : spec::builtin_grid_names()) {
+      GridSource builtin = source;
+      builtin.grid_name = name;
+      add_row(resolve_grid(builtin));
+    }
+  }
+  t.print(std::cout);
+  return 0;
+}
+
+int cmd_dump(const GridSource& source, const std::string& out_path) {
+  spec::ExperimentSpec experiment;
+  experiment.name = source.grid_name;
+  if (source.strategy.has_value()) experiment.strategy = *source.strategy;
+  spec::BuiltinGridOptions options;
+  options.seconds = source.seconds;
+  options.base_seed = source.base_seed;
+  experiment.sweep = spec::build_builtin_grid(source.grid_name, options);
+  write_file(out_path, [&](std::ostream& os) {
+    spec::write_experiment_json(os, experiment);
+  });
+  std::cout << "grid " << source.grid_name << " ("
+            << experiment.sweep.cells.size() << " cells) -> " << out_path
+            << "\n";
+  return 0;
+}
+
+// In-process run: the whole grid, or one static slice of it.
+int cmd_run(const GridSource& source, const std::string& shard_arg,
+            const std::string& cells_arg, const std::string& out_path,
+            int workers) {
+  const ResolvedGrid grid = resolve_grid(source);
+  if (shard_arg.empty() && cells_arg.empty()) {
+    const SweepResult full = run_sweep(grid.sweep, workers);
+    write_file(out_path,
+               [&](std::ostream& os) { write_sweep_json(os, full); });
+    std::cout << "sweep of " << full.cells.size() << " cells -> " << out_path
+              << "\n";
+    return 0;
+  }
+  const std::vector<std::size_t> cells = !shard_arg.empty()
+                                             ? parse_shard(shard_arg, grid)
+                                             : parse_cells(cells_arg);
+  ShardResult shard = run_shard(grid.sweep, cells, workers);
+  shard.partition =
+      !shard_arg.empty() ? spec::to_string(grid.strategy) : "explicit";
+  write_file(out_path, [&](std::ostream& os) { write_shard_json(os, shard); });
+  std::cout << "shard of " << shard.cell_indices.size() << "/"
+            << shard.total_cells << " cells (" << shard.partition << ") -> "
+            << out_path << "\n";
+  return 0;
+}
+
+void write_poison_report(const std::string& path,
+                         const std::vector<PoisonedCell>& poisoned) {
+  write_file(path, [&](std::ostream& os) {
+    os << "{\n  \"poisoned\": [";
+    for (std::size_t i = 0; i < poisoned.size(); ++i) {
+      os << (i == 0 ? "" : ",") << "\n    {\"index\": " << poisoned[i].index
+         << ", \"attempts\": " << poisoned[i].attempts << ", \"error\": ";
+      write_json_string(os, poisoned[i].last_error);
+      os << "}";
+    }
+    os << "\n  ]\n}\n";
+  });
+}
+
+// Orchestrated run: forked workers, journals, resume.
+int cmd_orchestrate(const GridSource& source,
+                    const OrchestratorOptions& options,
+                    const std::string& out_path,
+                    const std::string& poison_path) {
+  const ResolvedGrid grid = resolve_grid(source);
+  const OrchestrateOutcome outcome = orchestrate_sweep(grid.sweep, options);
+
+  if (outcome.halted) {
+    std::cerr << "sweep: halted after " << outcome.executed_cells
+              << " cells (journals kept in " << options.journal_dir
+              << "; re-run the same command to resume)\n";
+    return 4;
+  }
+  if (!outcome.poisoned.empty()) {
+    for (const PoisonedCell& cell : outcome.poisoned) {
+      std::cerr << "sweep: cell " << cell.index << " poisoned after "
+                << cell.attempts << " attempts: " << cell.last_error << "\n";
+    }
+    if (!poison_path.empty()) {
+      write_poison_report(poison_path, outcome.poisoned);
+      std::cerr << "sweep: poison report -> " << poison_path << "\n";
+    }
+    std::cerr << "sweep: sweep incomplete (" << outcome.poisoned.size()
+              << " poisoned cells); completed cells stay journaled in "
+              << options.journal_dir << "\n";
+    return 3;
+  }
+
+  write_file(out_path,
+             [&](std::ostream& os) { write_sweep_json(os, outcome.merged); });
+  std::cout << "orchestrated " << grid.label << ": "
+            << outcome.merged.cells.size() << " cells ("
+            << outcome.resumed_cells << " resumed, " << outcome.executed_cells
+            << " executed) -> " << out_path << "\n";
+  return 0;
+}
+
+int cmd_merge(const GridSource& source, bool have_grid,
+              const std::vector<std::string>& shard_paths,
+              const std::string& out_path) {
+  std::vector<ShardResult> shards;
+  shards.reserve(shard_paths.size());
+  for (const std::string& path : shard_paths) {
+    shards.push_back(read_shard_file(path));
+  }
+  const SweepResult merged = merge_shards(shards);
+  if (have_grid) verify_sweep_result(merged, resolve_grid(source).sweep);
+  write_file(out_path,
+             [&](std::ostream& os) { write_sweep_json(os, merged); });
+  std::cout << "merged " << shards.size() << " shards, " << merged.cells.size()
+            << " cells -> " << out_path << "\n";
+  return 0;
+}
+
+int cmd_status(const GridSource& source, const std::string& journal_dir) {
+  const ResolvedGrid grid = resolve_grid(source);
+  const std::uint64_t fingerprint = sweep_fingerprint(grid.sweep);
+  const std::size_t total = grid.sweep.cells.size();
+  std::vector<bool> covered(total, false);
+  TableWriter t({"Journal", "Cells", "Of", "Fingerprint", "State"});
+  for (const std::string& path : list_journal_files(journal_dir)) {
+    const JournalScan scan =
+        read_journal_file(path, /*allow_truncated_tail=*/true);
+    const bool foreign =
+        scan.sweep_fingerprint != fingerprint || scan.total_cells != total;
+    if (!foreign) {
+      for (const JournalRecord& record : scan.records) {
+        covered[record.index] = true;
+      }
+    }
+    std::string state = foreign ? "FOREIGN GRID" : "ok";
+    if (scan.dropped_bytes > 0) {
+      state += " (+" + std::to_string(scan.dropped_bytes) +
+               "B half-written tail)";
+    }
+    t.row()
+        .cell(path)
+        .cell(static_cast<std::int64_t>(scan.records.size()))
+        .cell(static_cast<std::int64_t>(scan.total_cells))
+        .cell(std::to_string(scan.sweep_fingerprint))
+        .cell(state);
+  }
+  t.print(std::cout);
+  std::size_t done = 0;
+  for (const bool c : covered) done += c ? 1 : 0;
+  std::cout << "grid " << grid.label << ": " << done << "/" << total
+            << " cells journaled, " << (total - done) << " remaining\n";
+  return 0;
+}
+
+int cmd_export(const GridSource& source, const std::string& journal_dir,
+               const std::string& prefix) {
+  const ResolvedGrid grid = resolve_grid(source);
+  const std::uint64_t fingerprint = sweep_fingerprint(grid.sweep);
+  std::size_t exported = 0;
+  for (const std::string& path : list_journal_files(journal_dir)) {
+    // Strict scan: exporting a journal with a half-written tail would
+    // silently bless a damaged file — recover via `run` first.
+    const JournalScan scan =
+        read_journal_file(path, /*allow_truncated_tail=*/false);
+    if (scan.sweep_fingerprint != fingerprint ||
+        scan.total_cells != grid.sweep.cells.size()) {
+      throw std::runtime_error(path + ": journal is not from this grid");
+    }
+    const ShardResult shard = shard_from_journal(scan);
+    const std::string out = prefix + std::to_string(scan.journal_id) + ".json";
+    write_file(out, [&](std::ostream& os) { write_shard_json(os, shard); });
+    std::cout << path << " -> " << out << " (" << shard.cell_indices.size()
+              << " cells)\n";
+    ++exported;
+  }
+  if (exported == 0) {
+    throw std::runtime_error("no journals found in " + journal_dir);
+  }
+  return 0;
+}
+
+// Flags that only the orchestrated path (run --journal-dir) reads.
+constexpr std::string_view kOrchestratorFlags[] = {
+    "--max-attempts", "--retry-backoff", "--cell-timeout", "--poison-report",
+    "--quiet",        "--metrics-out",   "--trace-out",    "--halt-after",
+    "--crash-cell",   "--hang-cell"};
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  if (argc < 2) return usage();
+  const std::string command = argv[1];
+
+  GridSource source;
+  OrchestratorOptions options;
+  std::string shard_arg;
+  std::string cells_arg;
+  std::string out_path;
+  std::string out_prefix;
+  std::string poison_path;
+  std::string orchestrator_flag;  // first flag that needs --journal-dir
+  std::vector<std::string> positional;
+
+  try {
+    for (int i = 2; i < argc; ++i) {
+      const std::string arg = argv[i];
+      const auto value = [&]() -> std::string {
+        if (i + 1 >= argc) throw UsageError(arg + ": needs a value");
+        return argv[++i];
+      };
+      if (orchestrator_flag.empty() &&
+          std::find(std::begin(kOrchestratorFlags),
+                    std::end(kOrchestratorFlags),
+                    arg) != std::end(kOrchestratorFlags)) {
+        orchestrator_flag = arg;
+      }
+      if (arg == "--grid") source.grid_name = value();
+      else if (arg == "--spec") source.spec_path = value();
+      else if (arg == "--seconds") {
+        source.seconds = cli::parse_int_at_least(arg, value(), 8);
+        source.seconds_given = true;
+      }
+      else if (arg == "--base-seed") {
+        source.base_seed = parse_u64(arg, value());
+      }
+      else if (arg == "--strategy") {
+        const std::string name = value();
+        source.strategy = spec::partition_from_name(name);
+        if (!source.strategy.has_value()) {
+          throw UsageError("--strategy: wants round-robin or lpt, got \"" +
+                           name + "\"");
+        }
+      }
+      else if (arg == "--timeline") source.timeline = true;
+      else if (arg == "--workers") {
+        options.workers = cli::parse_int_at_least(arg, value(), 1);
+      }
+      else if (arg == "--shard") shard_arg = value();
+      else if (arg == "--cells") cells_arg = value();
+      else if (arg == "--out") out_path = value();
+      else if (arg == "--journal-dir") options.journal_dir = value();
+      else if (arg == "--out-prefix") out_prefix = value();
+      else if (arg == "--poison-report") poison_path = value();
+      else if (arg == "--max-attempts") {
+        options.max_attempts = cli::parse_int_at_least(arg, value(), 1);
+      }
+      else if (arg == "--retry-backoff") {
+        options.retry_backoff_s = cli::parse_nonneg_double(arg, value());
+      }
+      else if (arg == "--cell-timeout") {
+        options.cell_timeout_s = cli::parse_nonneg_double(arg, value());
+      }
+      else if (arg == "--quiet") options.progress = false;
+      else if (arg == "--metrics-out") {
+        // Telemetry implies runtime stamping: every journaled cell gains a
+        // "runtime" field (wall seconds, peak RSS, attempt).  Remove it
+        // with `sweep_report strip runtime` before byte-diffing against a
+        // plain run.
+        options.metrics_out = value();
+        options.record_runtime = true;
+      }
+      else if (arg == "--trace-out") options.trace_out = value();
+      else if (arg == "--halt-after") {
+        options.halt_after_cells = static_cast<std::size_t>(
+            cli::parse_int_at_least(arg, value(), 1));
+      }
+      else if (arg == "--crash-cell") {
+        options.crash_cells.push_back(parse_fault(arg, value()));
+      }
+      else if (arg == "--hang-cell") {
+        options.hang_cells.push_back(parse_fault(arg, value()));
+      }
+      else if (arg.rfind("--", 0) == 0) return usage();
+      else positional.push_back(arg);
+    }
+    if (!source.grid_name.empty() && !source.spec_path.empty()) {
+      throw UsageError("--grid: cannot be combined with --spec");
+    }
+    const bool have_grid =
+        !source.grid_name.empty() || !source.spec_path.empty();
+    const bool journaled = !options.journal_dir.empty();
+    if (journaled && (!shard_arg.empty() || !cells_arg.empty())) {
+      const std::string flag = !shard_arg.empty() ? "--shard" : "--cells";
+      throw UsageError(flag + ": cannot be combined with --journal-dir (the "
+                       "orchestrator hands out cells itself)");
+    }
+    if (!journaled && !orchestrator_flag.empty()) {
+      throw UsageError(orchestrator_flag + ": needs --journal-dir");
+    }
+
+    if (command == "list") return cmd_list(source, positional);
+    if (command == "dump") {
+      if (source.grid_name.empty() || out_path.empty() ||
+          !positional.empty()) {
+        return usage();
+      }
+      return cmd_dump(source, out_path);
+    }
+    if (command == "run") {
+      if (!have_grid || out_path.empty() || !positional.empty() ||
+          (!shard_arg.empty() && !cells_arg.empty())) {
+        return usage();
+      }
+      if (journaled) {
+        return cmd_orchestrate(source, options, out_path, poison_path);
+      }
+      return cmd_run(source, shard_arg, cells_arg, out_path, options.workers);
+    }
+    if (command == "merge") {
+      if (out_path.empty() || positional.empty()) return usage();
+      return cmd_merge(source, have_grid, positional, out_path);
+    }
+    if (command == "status") {
+      if (!have_grid || !journaled) return usage();
+      return cmd_status(source, options.journal_dir);
+    }
+    if (command == "export") {
+      if (!have_grid || !journaled || out_prefix.empty()) return usage();
+      return cmd_export(source, options.journal_dir, out_prefix);
+    }
+    return usage();
+  } catch (const UsageError& e) {
+    std::cerr << "sweep: " << e.what() << "\n";
+    return 2;
+  } catch (const std::exception& e) {
+    std::cerr << "sweep: " << e.what() << "\n";
+    return 1;
+  }
+}

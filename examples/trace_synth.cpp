@@ -49,7 +49,7 @@ std::string read_file(const std::string& path) {
 
 // Delivered rate per bin, as an ASCII timeline: one row per bin, bar
 // length proportional to the bin's average rate (util/ascii_plot.h, the
-// renderer timeline_report's charts share).
+// renderer sweep_report's charts share).
 void plot(const Trace& trace, Duration bin) {
   const double bin_s = to_seconds(bin);
   const auto& opportunities = trace.opportunities();

@@ -38,7 +38,7 @@ void TickEvolveBatcher::on_tick(TimePoint now) {
   ++batch_passes_;
   if (obs::enabled()) {
     // Registry mirror: mean group size = batched_flows / batch_passes,
-    // plus the largest group seen (utilization for obs_report).
+    // plus the largest group seen (utilization for sweep_report).
     static obs::Counter& flows =
         obs::Registry::instance().counter("batcher.batched_flows");
     static obs::Counter& passes =

@@ -929,8 +929,10 @@ class Coordinator {
   double executed_cost_ = 0.0;
   bool halted_ = false;
   Clock::time_point start_ = Clock::now();
-  Clock::time_point last_progress_ = Clock::time_point::min();
-  Clock::time_point last_metrics_progress_ = Clock::time_point::min();
+  // An hour before start_, so the first progress call always emits; with
+  // time_point::min(), `now - last` would overflow (undefined behaviour).
+  Clock::time_point last_progress_ = start_ - std::chrono::hours(1);
+  Clock::time_point last_metrics_progress_ = last_progress_;
 };
 
 }  // namespace

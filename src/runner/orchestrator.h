@@ -2,7 +2,7 @@
 // hands out cells by work-stealing, and checkpoints every completed cell
 // to an append-only journal so nothing is ever computed twice.
 //
-// `sweep_shard` (runner/shard.h) distributes a grid by cutting it into
+// `sweep run --shard` (runner/shard.h) distributes a grid by cutting it into
 // static slices up front; a worker that dies takes its whole slice's
 // progress with it, and a killed job recomputes everything on restart.
 // The orchestrator closes both holes:
@@ -29,11 +29,12 @@
 // replay reconstructs ShardResults the existing merge_shards path
 // accepts.  So
 //
-//     orchestrated (killed + resumed) == sweep_shard merge == serial
+//     orchestrated (killed + resumed) == sharded merge == serial
 //
-// is enforced by the `orchestrate_roundtrip` ctest target and the CI
-// `orchestrate-smoke` job, both of which SIGKILL workers mid-run and diff
-// the resumed merge against the single-process file.
+// is enforced by the `orchestrate_roundtrip` ctest target, which SIGKILLs
+// workers mid-run and diffs the resumed merge against the single-process
+// file.  The `sweep` CLI (examples/sweep.cpp) drives it as `sweep run
+// --journal-dir DIR`.
 #pragma once
 
 #include <cstdint>
@@ -74,8 +75,8 @@ struct OrchestratorOptions {
   // Stamp every journaled cell's result with a CellRuntime (wall seconds,
   // worker peak RSS, landing attempt).  The field rides the ordinary
   // result serialization — merge preserves it, fingerprints (which hash
-  // specs) ignore it — and `obs_report strip-runtime` removes it for
-  // byte-diffs against untelemetered runs.  Set by the CLI whenever
+  // specs) ignore it — and erase_result_field (runner/shard.h) removes it
+  // for byte-diffs against untelemetered runs.  Set by the CLI whenever
   // --metrics-out is given.
   bool record_runtime = false;
   // Streaming telemetry JSONL ("" = off): a header line, one "cell" event

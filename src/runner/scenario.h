@@ -313,7 +313,7 @@ struct FlowResult {
   std::vector<SeriesPoint> series;  // if spec.capture_series
   // Flight-recorder timeline (if spec.record_timeline).  Fingerprint-
   // ignored, merge-preserved, omitted from JSON when unconfigured, and
-  // erasable via timeline_report strip-timeline.
+  // erasable via erase_result_field (runner/shard.h).
   FlowTimeline timeline;
 };
 
@@ -394,7 +394,7 @@ struct ScenarioResult {
   DelayHistogram population_delay_hist;
   // Execution telemetry (orchestrator --metrics-out runs only; see
   // CellRuntime).  Not a simulation output — excluded from fingerprints
-  // and from the obs_roundtrip byte diff via obs_report strip-runtime.
+  // and from the obs_roundtrip byte diff via erase_result_field.
   CellRuntime runtime;
 
   // Single-flow views (flows[0]).

@@ -362,8 +362,8 @@ DelayHistogram read_hist(const JsonValue& v) {
 //  queue_max_packets, queue_max_bytes, drops, mean_delay_ms, max_delay_ms].
 // Written only when configured (record_timeline), so timeline-off results
 // stay byte-stable; the tuples are arrays, never objects, so the timeline
-// value contains no nested braces and timeline_report strip-timeline can
-// erase it textually exactly as obs_report strip-runtime does.
+// value contains no nested braces and erase_result_field can remove it
+// textually.
 void write_timeline(std::ostream& os, const FlowTimeline& t) {
   os << "{\"bin_s\": ";
   json_double(os, t.bin_s);
@@ -507,8 +507,8 @@ void write_result(std::ostream& os, const ScenarioResult& r) {
   if (r.runtime.recorded) {
     // Execution telemetry, present only on orchestrator --metrics-out
     // runs: fingerprints hash specs so this never perturbs them, and
-    // obs_report strip-runtime removes it for byte-diffs against
-    // untelemetered runs.
+    // erase_result_field removes it for byte-diffs against untelemetered
+    // runs.
     os << ", \"runtime\": {\"wall_s\": ";
     json_double(os, r.runtime.wall_s);
     os << ", \"peak_rss_bytes\": " << r.runtime.peak_rss_bytes
@@ -591,6 +591,29 @@ void write_scenario_result_json(std::ostream& os, const ScenarioResult& r) {
 
 ScenarioResult scenario_result_from_json(const JsonValue& v) {
   return read_result(v);
+}
+
+std::size_t erase_result_field(std::string& text, std::string_view name) {
+  if (name != "runtime" && name != "timeline") {
+    throw std::invalid_argument("erase_result_field: \"" + std::string(name) +
+                                "\" is not an optional result field "
+                                "(runtime or timeline)");
+  }
+  (void)JsonValue::parse(text);  // refuse to "fix" a damaged file
+  const std::string needle = ", \"" + std::string(name) + "\": {";
+  std::size_t erased = 0;
+  std::size_t at = 0;
+  while ((at = text.find(needle, at)) != std::string::npos) {
+    const std::size_t close = text.find('}', at + needle.size());
+    if (close == std::string::npos) {
+      throw std::runtime_error("unterminated " + std::string(name) +
+                               " object");
+    }
+    text.erase(at, close + 1 - at);
+    ++erased;
+  }
+  (void)JsonValue::parse(text);  // the erase must leave valid JSON
+  return erased;
 }
 
 void write_shard_json(std::ostream& os, const ShardResult& shard) {

@@ -15,13 +15,12 @@
 // disagree about what a cell means — fails loudly instead of producing a
 // plausible-looking chimera.
 //
-// The `sweep_shard` CLI (examples/sweep_shard.cpp) is the process driver:
-//   sweep_shard run   --grid G --shard i/N --out shard_i.json
-//   sweep_shard merge --grid G --out merged.json shard_*.json
+// The `sweep` CLI (examples/sweep.cpp) is the process driver:
+//   sweep run   --grid G --shard i/N --out shard_i.json
+//   sweep merge --grid G --out merged.json shard_*.json
 // and `run` without --shard writes the merged schema directly, so a full
 // single-process run and a merged N-process run of the same grid produce
-// byte-identical files (the ctest shard_roundtrip target and the CI shard
-// job both diff them).
+// byte-identical files (the ctest shard_roundtrip target diffs them).
 #pragma once
 
 #include <cstdint>
@@ -123,5 +122,16 @@ void write_sweep_json(std::ostream& os, const SweepResult& sweep);
 // serial stays a byte-level invariant.
 void write_scenario_result_json(std::ostream& os, const ScenarioResult& r);
 [[nodiscard]] ScenarioResult scenario_result_from_json(const JsonValue& v);
+
+// Erases every `"<name>": {...}` member the result writer emits for the
+// optional observer fields "runtime" (CellRuntime stamps) and "timeline"
+// (flight-recorder timelines) from shard, sweep or journal text, and
+// returns how many it removed.  Both members are flat objects (no nested
+// braces) written only when recorded, so the textual erase reproduces the
+// bytes of a run that never recorded them — which a parse/re-serialize
+// round trip could not promise.  Throws std::invalid_argument for any
+// other name and std::runtime_error when `text` does not parse before or
+// after the erase, or a member is unterminated.
+std::size_t erase_result_field(std::string& text, std::string_view name);
 
 }  // namespace sprout

@@ -1,7 +1,5 @@
-// The compiled-in grids `sweep_shard` ships, as a library.
-//
-// These used to live inside examples/sweep_shard.cpp; they moved here so
-// that (a) the CLI, the spec_lint example and the tests construct the SAME
+// The compiled-in grids the `sweep` CLI ships (--grid NAME), as a library
+// so that (a) the CLI, the spec_lint example and the tests construct the SAME
 // grid objects, and (b) each checked-in JSON spec twin (specs/*.json) can
 // be locked against its compiled grid by fingerprint — the acceptance
 // invariant "a sweep defined only in a spec file produces byte-identical

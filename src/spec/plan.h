@@ -11,7 +11,7 @@
 // whichever produced the shards — but MIXING strategies across the shards
 // of one grid almost certainly double-covers some cells and orphans others.
 // Shard files therefore record the strategy that cut them
-// (ShardResult::partition), `sweep_shard list` prints it, and merge rejects
+// (ShardResult::partition), `sweep list` prints it, and merge rejects
 // a mix outright rather than failing later with a confusing
 // collision/coverage error.
 #pragma once

@@ -1,7 +1,7 @@
 // Shared ASCII timeline plotting.
 //
 // One renderer for every CLI that draws a per-bin signal as rows of bars:
-// trace_synth's delivered-rate view and timeline_report's Figure-1/6-style
+// trace_synth's delivered-rate view and sweep_report's Figure-1/6-style
 // forecast-vs-capacity and delay charts.  A chart is one row per bin, the
 // bar scaled so the largest value spans the configured width; an optional
 // overlay series marks a second signal's position on the same scale, which

@@ -1,28 +1,36 @@
 #include "util/poisson.h"
 
+#include <array>
 #include <cassert>
 #include <cmath>
-#include <vector>
 
 namespace sprout {
 
 namespace {
 
-// Cached log-factorials; grown on demand.  Read-mostly after warmup.
-const double* log_factorial_table(int max_k) {
-  static std::vector<double> table{0.0};  // log(0!) = 0
-  while (static_cast<int>(table.size()) <= max_k) {
-    const double k = static_cast<double>(table.size());
-    table.push_back(table.back() + std::log(k));
-  }
-  return table.data();
+// log(k!) for k < kLogFactorialTableSize, built once by a function-local
+// static initializer (thread-safe by the language) and immutable after.
+// Entries are the left-to-right running sum log(1) + ... + log(k), which
+// tests/util_poisson_test.cc pins bit for bit.
+constexpr int kLogFactorialTableSize = 1024;
+
+const std::array<double, kLogFactorialTableSize>& log_factorial_table() {
+  static const std::array<double, kLogFactorialTableSize> table = [] {
+    std::array<double, kLogFactorialTableSize> t{};
+    t[0] = 0.0;  // log(0!) = 0
+    for (int k = 1; k < kLogFactorialTableSize; ++k) {
+      t[k] = t[k - 1] + std::log(static_cast<double>(k));
+    }
+    return t;
+  }();
+  return table;
 }
 
 }  // namespace
 
 double log_factorial(int k) {
   assert(k >= 0);
-  if (k < 1024) return log_factorial_table(1023)[k];
+  if (k < kLogFactorialTableSize) return log_factorial_table()[k];
   return std::lgamma(static_cast<double>(k) + 1.0);
 }
 

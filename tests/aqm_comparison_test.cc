@@ -7,24 +7,20 @@
 #include <memory>
 #include <string>
 
-#include "aqm/avq.h"
-#include "aqm/blue.h"
 #include "aqm/codel.h"
 #include "aqm/pie.h"
-#include "aqm/red.h"
 
 namespace sprout {
 namespace {
 
-enum class Policy { kDropTail, kCodel, kRed, kBlue, kAvq, kPie };
+// Explicit values keep each case's printed GetParam() bytes, and so its
+// test name, stable as policies come and go.
+enum class Policy { kDropTail = 0, kCodel = 1, kPie = 5 };
 
 std::string policy_name(const ::testing::TestParamInfo<Policy>& info) {
   switch (info.param) {
     case Policy::kDropTail: return "DropTail";
     case Policy::kCodel: return "CoDel";
-    case Policy::kRed: return "RED";
-    case Policy::kBlue: return "BLUE";
-    case Policy::kAvq: return "AVQ";
     case Policy::kPie: return "PIE";
   }
   return "unknown";
@@ -34,9 +30,6 @@ std::unique_ptr<AqmPolicy> make_policy(Policy p) {
   switch (p) {
     case Policy::kDropTail: return std::make_unique<DropTailPolicy>();
     case Policy::kCodel: return std::make_unique<CodelPolicy>();
-    case Policy::kRed: return std::make_unique<RedPolicy>(RedParams{}, 1);
-    case Policy::kBlue: return std::make_unique<BluePolicy>(BlueParams{}, 1);
-    case Policy::kAvq: return std::make_unique<AvqPolicy>();
     case Policy::kPie: return std::make_unique<PiePolicy>(PieParams{}, 1);
   }
   return nullptr;
@@ -120,8 +113,7 @@ TEST_P(AqmContract, ActivePoliciesControlAStandingQueueDropTailDoesNot) {
 
 INSTANTIATE_TEST_SUITE_P(AllPolicies, AqmContract,
                          ::testing::Values(Policy::kDropTail, Policy::kCodel,
-                                           Policy::kRed, Policy::kBlue,
-                                           Policy::kAvq, Policy::kPie),
+                                           Policy::kPie),
                          policy_name);
 
 }  // namespace

@@ -1,9 +1,6 @@
-// Unit tests for the extension AQM policies: BLUE (aqm/blue.h), AVQ
-// (aqm/avq.h) and PIE (aqm/pie.h).  CoDel and RED have their own suites.
+// Unit tests for the PIE AQM policy (aqm/pie.h).  CoDel has its own suite.
 #include <gtest/gtest.h>
 
-#include "aqm/avq.h"
-#include "aqm/blue.h"
 #include "aqm/pie.h"
 
 namespace sprout {
@@ -17,149 +14,6 @@ Packet mtu_packet(std::int64_t t_ms) {
   p.sent_at = at_ms(t_ms);
   p.enqueued_at = at_ms(t_ms);
   return p;
-}
-
-// ------------------------------------------------------------------- BLUE
-
-TEST(Blue, StartsWithZeroDropProbability) {
-  BluePolicy blue({}, 1);
-  EXPECT_DOUBLE_EQ(blue.drop_probability(), 0.0);
-  LinkQueue q;
-  // Empty queue, p = 0: everything admitted.
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_TRUE(blue.admit(q, mtu_packet(i), at_ms(i)));
-  }
-}
-
-TEST(Blue, RaisesProbabilityOnHighBacklog) {
-  BlueParams params;
-  params.high_water_bytes = 10 * kMtuBytes;
-  BluePolicy blue(params, 1);
-  LinkQueue q;
-  for (int i = 0; i < 20; ++i) q.push(mtu_packet(0));
-  (void)blue.admit(q, mtu_packet(1), at_ms(0));
-  EXPECT_GT(blue.drop_probability(), 0.0);
-}
-
-TEST(Blue, FreezeTimeRateLimitsIncrements) {
-  BlueParams params;
-  params.high_water_bytes = kMtuBytes;
-  params.increment = 0.02;
-  params.freeze_time = msec(100);
-  BluePolicy blue(params, 1);
-  LinkQueue q;
-  for (int i = 0; i < 5; ++i) q.push(mtu_packet(0));
-  // Ten congested arrivals within one freeze window: only one increment.
-  for (int i = 0; i < 10; ++i) (void)blue.admit(q, mtu_packet(i), at_ms(i));
-  EXPECT_NEAR(blue.drop_probability(), 0.02, 1e-12);
-}
-
-TEST(Blue, LowersProbabilityWhenLinkIdle) {
-  BlueParams params;
-  params.high_water_bytes = kMtuBytes;
-  BluePolicy blue(params, 1);
-  LinkQueue q;
-  for (int i = 0; i < 5; ++i) q.push(mtu_packet(0));
-  (void)blue.admit(q, mtu_packet(0), at_ms(0));
-  const double raised = blue.drop_probability();
-  while (!q.empty()) (void)blue.dequeue(q, at_ms(150));
-  (void)blue.dequeue(q, at_ms(300));  // idle event, past freeze time
-  EXPECT_LT(blue.drop_probability(), raised);
-}
-
-TEST(Blue, ProbabilityStaysInUnitInterval) {
-  BlueParams params;
-  params.high_water_bytes = kMtuBytes;
-  params.increment = 0.5;
-  params.freeze_time = msec(0);
-  BluePolicy blue(params, 1);
-  LinkQueue q;
-  for (int i = 0; i < 5; ++i) q.push(mtu_packet(0));
-  for (int i = 0; i < 10; ++i) (void)blue.admit(q, mtu_packet(i), at_ms(i));
-  EXPECT_LE(blue.drop_probability(), 1.0);
-  BluePolicy blue2({.increment = 0.1, .decrement = 0.9, .freeze_time = msec(0)}, 1);
-  LinkQueue empty;
-  for (int i = 0; i < 10; ++i) (void)blue2.dequeue(empty, at_ms(i));
-  EXPECT_GE(blue2.drop_probability(), 0.0);
-}
-
-TEST(Blue, DropsAreCounted) {
-  BlueParams params;
-  params.high_water_bytes = kMtuBytes;
-  params.increment = 1.0;  // after one congestion event p = 1
-  BluePolicy blue(params, 7);
-  LinkQueue q;
-  for (int i = 0; i < 5; ++i) q.push(mtu_packet(0));
-  int denied = 0;
-  // First congested arrival raises p to 1.0 and may itself be dropped.
-  if (!blue.admit(q, mtu_packet(0), at_ms(0))) ++denied;
-  for (int i = 0; i < 20; ++i) {
-    if (!blue.admit(q, mtu_packet(i), at_ms(200 + i))) ++denied;
-  }
-  EXPECT_GT(denied, 0);
-  EXPECT_EQ(blue.drops(), denied);
-}
-
-// -------------------------------------------------------------------- AVQ
-
-TEST(Avq, AdmitsWhenVirtualQueueHasRoom) {
-  AvqPolicy avq;
-  LinkQueue q;
-  EXPECT_TRUE(avq.admit(q, mtu_packet(0), at_ms(0)));
-  EXPECT_GT(avq.virtual_queue_bytes(), 0.0);
-}
-
-TEST(Avq, DropsWhenVirtualBufferOverflows) {
-  AvqParams params;
-  params.virtual_buffer_bytes = 3 * kMtuBytes;
-  params.initial_capacity_bps = 1e4;  // nearly frozen virtual drain
-  AvqPolicy avq(params);
-  LinkQueue q;
-  int denied = 0;
-  // A burst at t=0: the virtual queue can hold only three packets.
-  for (int i = 0; i < 10; ++i) {
-    if (!avq.admit(q, mtu_packet(0), at_ms(0))) ++denied;
-  }
-  EXPECT_GE(denied, 6);
-  EXPECT_EQ(avq.drops(), denied);
-}
-
-TEST(Avq, VirtualQueueDrainsBetweenArrivals) {
-  AvqParams params;
-  params.initial_capacity_bps = 12e6;  // 1500 B/ms
-  AvqPolicy avq(params);
-  LinkQueue q;
-  (void)avq.admit(q, mtu_packet(0), at_ms(0));
-  const double after_first = avq.virtual_queue_bytes();
-  // 10 ms later the virtual queue has fully drained before the next add.
-  (void)avq.admit(q, mtu_packet(10), at_ms(10));
-  EXPECT_LE(avq.virtual_queue_bytes(), after_first);
-}
-
-TEST(Avq, VirtualCapacityNeverExceedsMeasuredLink) {
-  AvqParams params;
-  params.initial_capacity_bps = 1e6;
-  AvqPolicy avq(params);
-  LinkQueue q;
-  for (int i = 0; i < 100; ++i) (void)avq.admit(q, mtu_packet(i), at_ms(i));
-  EXPECT_LE(avq.virtual_capacity_bps(), 1e6 + 1e-6);
-  EXPECT_GE(avq.virtual_capacity_bps(), 0.0);
-}
-
-TEST(Avq, TracksLinkRateFromDequeues) {
-  AvqParams params;
-  params.initial_capacity_bps = 1e9;  // wrong by orders of magnitude
-  params.rate_window = msec(100);
-  AvqPolicy avq(params);
-  LinkQueue q;
-  // Deliveries at 1500 B / 10 ms = 1.2 Mbit/s; after a window the virtual
-  // capacity must have been re-clamped to the measured link rate.
-  for (int i = 0; i < 100; ++i) {
-    q.push(mtu_packet(i * 10));
-    (void)avq.dequeue(q, at_ms(i * 10));
-    (void)avq.admit(q, mtu_packet(i * 10 + 1), at_ms(i * 10 + 1));
-  }
-  EXPECT_LT(avq.virtual_capacity_bps(), 2e6);
 }
 
 // -------------------------------------------------------------------- PIE

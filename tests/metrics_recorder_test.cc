@@ -221,7 +221,7 @@ TEST(Recorder, RunScenarioRejectsNonPositiveTimelineBin) {
 // Satellite: a pre-timeline result file (generated before this PR, checked
 // in as a golden) must round-trip byte-identically through read -> write.
 // This is the compatibility half of the byte-stability contract; the
-// timeline_roundtrip ctest covers the strip-timeline half.
+// timeline_roundtrip ctest covers the `sweep_report strip timeline` half.
 TEST(Recorder, PrePr10SweepFileRoundTripsByteIdentically) {
   const std::string path =
       std::string(SPROUT_SOURCE_DIR) + "/tests/golden/pre_pr10_sweep.json";

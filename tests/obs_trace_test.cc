@@ -1,7 +1,7 @@
 // Tracer contract: inactive emits are free no-ops, active emits buffer
 // complete/instant events, and write_json produces the Chrome
-// trace-event shape (the obs_report validate-trace CI gate parses the
-// same fields).
+// trace-event shape (`sweep_report validate trace` parses the same
+// fields).
 #include "obs/trace.h"
 
 #include <gtest/gtest.h>

@@ -385,5 +385,72 @@ TEST(Shard, LongestFirstOrderIsDescendingAndStable) {
   EXPECT_EQ(order.front(), 1u);
 }
 
+
+// --- erase_result_field ---------------------------------------------------
+
+std::string sweep_text(const SweepResult& sweep) {
+  std::ostringstream os;
+  write_sweep_json(os, sweep);
+  return os.str();
+}
+
+// A real recorded sweep: timelines on every flow and runtime stamps on
+// every cell, as an orchestrated --timeline --metrics-out run writes them.
+class EraseResultField : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    SweepSpec grid = tiny_grid();
+    grid.cells.resize(2);
+    plain_ = new std::string(sweep_text(run_sweep(grid, /*threads=*/1)));
+    for (ScenarioSpec& cell : grid.cells) cell.record_timeline = true;
+    SweepResult recorded = run_sweep(grid, /*threads=*/1);
+    for (ScenarioResult& cell : recorded.cells) {
+      cell.runtime = {true, 1.25, 4096, 2};
+    }
+    recorded_ = new std::string(sweep_text(recorded));
+  }
+  static void TearDownTestSuite() {
+    delete plain_;
+    delete recorded_;
+    plain_ = recorded_ = nullptr;
+  }
+
+  static std::string* plain_;
+  static std::string* recorded_;
+};
+
+std::string* EraseResultField::plain_ = nullptr;
+std::string* EraseResultField::recorded_ = nullptr;
+
+TEST_F(EraseResultField, ErasingBothFieldsRestoresThePlainBytes) {
+  ASSERT_NE(*recorded_, *plain_);
+  std::string text = *recorded_;
+  EXPECT_EQ(erase_result_field(text, "runtime"), 2u);
+  EXPECT_EQ(erase_result_field(text, "timeline"), 2u);
+  EXPECT_EQ(text, *plain_);
+}
+
+TEST_F(EraseResultField, ErasingAnAbsentFieldIsAByteNoOp) {
+  std::string text = *plain_;
+  EXPECT_EQ(erase_result_field(text, "runtime"), 0u);
+  EXPECT_EQ(erase_result_field(text, "timeline"), 0u);
+  EXPECT_EQ(text, *plain_);
+}
+
+TEST_F(EraseResultField, RejectsUnknownNamesAndTruncatedMembers) {
+  std::string text = *recorded_;
+  EXPECT_THROW((void)erase_result_field(text, "flows"), std::invalid_argument);
+  EXPECT_THROW((void)erase_result_field(text, "delay_hist"),
+               std::invalid_argument);
+  EXPECT_EQ(text, *recorded_);
+
+  // Cut the file inside the first runtime member.
+  const std::size_t at = recorded_->find("\"runtime\": {");
+  ASSERT_NE(at, std::string::npos);
+  std::string truncated = recorded_->substr(0, at + 20);
+  EXPECT_THROW((void)erase_result_field(truncated, "runtime"),
+               std::runtime_error);
+}
+
 }  // namespace
 }  // namespace sprout

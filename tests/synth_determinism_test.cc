@@ -3,8 +3,8 @@
 //   1. generate_synth_trace is a pure function of (spec, duration) —
 //      repeated generation is identical, in any process.
 //   2. A sweep over synth links is bit-identical serial vs thread pool vs
-//      shard-merged (the cross-PROCESS leg runs in CI and the
-//      synth_roundtrip ctest target, which diff sweep_shard output files).
+//      shard-merged (the cross-PROCESS leg is the synth_roundtrip ctest
+//      target, which diffs `sweep` output files).
 //   3. The canonical synth_key distinguishes every parameter, so the trace
 //      cache and scenario fingerprints cannot conflate two channels.
 //   4. One MMPP trace is golden-locked to a checked-in mahimahi file —

@@ -1,5 +1,6 @@
 #include "util/poisson.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include <gtest/gtest.h>
@@ -18,6 +19,20 @@ TEST(LogFactorial, LargeArgumentsUseLgamma) {
   // Stirling sanity: log(2000!) ~ 2000 ln 2000 - 2000.
   const double v = log_factorial(2000);
   EXPECT_NEAR(v, 2000.0 * std::log(2000.0) - 2000.0, 10.0);
+}
+
+TEST(LogFactorial, TableIsTheRunningSumBitForBit) {
+  // The cached range (k < 1024) must be exactly the left-to-right running
+  // sum of logs -- every golden result depends on these bits -- and agree
+  // with lgamma to double precision.
+  double sum = 0.0;
+  for (int k = 0; k < 1024; ++k) {
+    if (k > 0) sum += std::log(static_cast<double>(k));
+    EXPECT_EQ(log_factorial(k), sum) << "k " << k;
+    EXPECT_NEAR(log_factorial(k), std::lgamma(k + 1.0),
+                1e-12 * std::max(1.0, sum))
+        << "k " << k;
+  }
 }
 
 TEST(PoissonPmf, ZeroMeanIsDegenerate) {
