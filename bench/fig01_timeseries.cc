@@ -2,7 +2,8 @@
 // per-packet delay time series with the capacity overlay.
 //
 // Prints three aligned series (capacity, scheme throughput, scheme delay)
-// in 500 ms bins for each scheme, over the figure's 60-second window.
+// from each scheme's flight-recorder timeline (500 ms bins), over the
+// figure's 60-second window.
 #include <iostream>
 
 #include "bench_common.h"
@@ -22,20 +23,20 @@ int main() {
     ScenarioSpec c = bench::base_spec(scheme, link);
     c.run_time = std::max(c.run_time, sec(80));
     c.warmup = sec(10);
-    c.capture_series = true;
+    c.record_timeline = true;
     const ScenarioResult r = run_scenario(c);
-    const std::vector<SeriesPoint>& series = r.flows.front().series;
+    const std::vector<TimelinePoint>& points = r.flows.front().timeline.points;
 
     std::cout << "--- " << to_string(scheme) << " ---\n";
     TableWriter t({"time (s)", "capacity (kbps)", "throughput (kbps)",
                    "max delay in bin (ms)"});
     // The paper's figure shows a 60-second section; start after warmup.
-    for (std::size_t i = 20; i < series.size() && i < 140; ++i) {
+    for (std::size_t i = 20; i < points.size() && i < 140; ++i) {
       t.row()
-          .cell(series[i].time_s, 1)
-          .cell(r.capacity_series[i].throughput_kbps, 0)
-          .cell(series[i].throughput_kbps, 0)
-          .cell(series[i].max_delay_ms, 0);
+          .cell(points[i].time_s, 1)
+          .cell(points[i].capacity_kbps, 0)
+          .cell(points[i].throughput_kbps, 0)
+          .cell(points[i].max_delay_ms, 0);
     }
     t.print(std::cout);
     std::cout << "summary: throughput " << format_double(r.throughput_kbps(), 0)

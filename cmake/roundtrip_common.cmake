@@ -55,16 +55,13 @@ function(require_same a b what)
   endif()
 endfunction()
 
-# sweep_roundtrip(N GRID...): runs the grid GRID names (--spec FILE, or
-# --grid NAME with its shaping flags) as one process (full.json) and as N
-# shard processes (shard<i>.json, cut by the grid's default strategy),
-# lists and merges the shards — verified against the grid — into
-# merged.json, and requires it byte-identical to full.json.  A spec grid
-# is linted first, wall-clock estimate included.
+# sweep_roundtrip(N --spec FILE [FLAGS...]): lints the spec (wall-clock
+# estimate included), runs it as one process (full.json) and as N shard
+# processes (shard<i>.json, cut by the spec's strategy unless FLAGS pass
+# --strategy), lists and merges the shards — verified against the grid —
+# into merged.json, and requires it byte-identical to full.json.
 function(sweep_roundtrip shards)
-  if(ARGV1 STREQUAL "--spec")
-    run_tool(${SPEC_LINT} ${ARGV2} --expand --shards ${shards} --wall-clock)
-  endif()
+  run_tool(${SPEC_LINT} ${ARGV2} --expand --shards ${shards} --wall-clock)
   run_tool(${SWEEP} run ${ARGN} --out full.json)
   set(parts)
   foreach(i RANGE 1 ${shards})
@@ -79,9 +76,14 @@ endfunction()
 
 # Flag checks: each bad invocation exits 2 (usage) naming the flag.
 function(require_usage_errors)
+  set(smoke --spec ${SPECS}/coexistence_smoke.json --out bad.json)
   run_rejects(2 "--workers: " ${SWEEP} run --workers 0)
   run_rejects(2 "--workers: " ${SWEEP} run --workers 4x)
   run_rejects(2 "--shard: .*--journal-dir"
     ${SWEEP} run --shard 1/2 --journal-dir d)
+  run_rejects(2 "--shard: shard 5 of 3" ${SWEEP} run ${smoke} --shard 5/3)
+  run_rejects(2 "--cells: cell 9 outside" ${SWEEP} run ${smoke} --cells 9)
+  run_rejects(2 "--cells: cell 1 listed twice"
+    ${SWEEP} run ${smoke} --cells 1,1)
   run_rejects(2 "strip: " ${SWEEP_REPORT} strip bogus a b)
 endfunction()

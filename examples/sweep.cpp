@@ -1,10 +1,9 @@
 // sweep — run, shard, merge and resume scenario sweeps.
 //
-// A sweep is a grid of independent cells: the compiled-in set (--grid
-// NAME, see spec/builtin.h) or a declarative JSON experiment (--spec FILE,
-// see spec/grid.h; `dump` writes any compiled grid as a spec to start
-// from).  Per-cell seeds are content-derived, so every way of running a
-// grid produces the same bytes:
+// A sweep is a grid of independent cells declared by a JSON experiment
+// spec (--spec FILE, see spec/grid.h; specs/ holds checked-in examples).
+// Per-cell seeds are content-derived, so every way of running a grid
+// produces the same bytes:
 //
 //     serial == thread pool == N shard processes, merged
 //            == orchestrated (killed + resumed), exported, merged
@@ -12,11 +11,10 @@
 // and the cmake/*_roundtrip.cmake ctests (label `roundtrip`) diff exactly
 // that.
 //
-//   sweep list   [--seconds N] [--spec FILE] [SHARD.json...]
-//   sweep dump   --grid NAME --out SPEC.json
+//   sweep list   --spec FILE | SHARD.json...
 //   sweep run    --spec specs/coexistence_smoke.json --out full.json
 //   sweep run    --spec specs/coexistence_smoke.json --shard 1/3 --out s1.json
-//   sweep run    --grid coexistence-smoke --cells 0,2 --out s.json
+//   sweep run    --spec specs/coexistence_smoke.json --cells 0,2 --out s.json
 //   sweep merge  --spec specs/coexistence_smoke.json --out merged.json s*.json
 //   sweep run    --spec specs/tower_smoke.json --journal-dir j/ --out s.json
 //   sweep status --spec specs/tower_smoke.json --journal-dir j/
@@ -43,9 +41,9 @@
 // progress line only.  Fault hooks for tests: --halt-after N (SIGKILL every
 // worker after N completions), --crash-cell I[:N], --hang-cell I[:N].
 //
-// Flags that shape the grid (--grid/--spec, --seconds, --base-seed) must
-// agree across the invocations of one sweep; the sweep fingerprint turns
-// any disagreement into a hard error instead of a silently different grid.
+// Every invocation of one sweep must name the same spec; the sweep
+// fingerprint turns any disagreement into a hard error instead of a
+// silently different grid.
 //
 // Exit codes: 0 complete, 1 error, 2 usage, 3 poisoned cells (journals
 // keep the finished ones), 4 halted by --halt-after.
@@ -57,7 +55,6 @@
 
 #include "cli_io.h"
 #include "runner/orchestrator.h"
-#include "spec/builtin.h"
 #include "spec/grid.h"
 #include "spec/plan.h"
 #include "util/table.h"
@@ -71,47 +68,24 @@ using cli::write_file;
 
 // Where the grid comes from and how it is cut.
 struct GridSource {
-  std::string grid_name;  // --grid
   std::string spec_path;  // --spec
-  int seconds = 20;
-  bool seconds_given = false;
   bool timeline = false;  // --timeline: flight-record every cell
-  std::optional<std::uint64_t> base_seed;
   std::optional<spec::PartitionStrategy> strategy;  // --strategy
 };
 
 struct ResolvedGrid {
-  std::string label;  // grid name or spec name/path, for messages
+  std::string label;  // spec name or path, for messages
   spec::PartitionStrategy strategy = spec::PartitionStrategy::kRoundRobin;
   SweepSpec sweep;
 };
 
 ResolvedGrid resolve_grid(const GridSource& source) {
+  spec::ExperimentSpec experiment =
+      spec::parse_experiment_file(source.spec_path);
   ResolvedGrid grid;
-  if (!source.spec_path.empty()) {
-    // A spec file is self-contained; grid-shaping flags contradict it.
-    if (source.seconds_given) {
-      throw UsageError(
-          "--seconds: shapes compiled grids; a spec file carries its own "
-          "durations");
-    }
-    if (source.base_seed.has_value()) {
-      throw UsageError(
-          "--base-seed: shapes compiled grids; set base_seed in the spec "
-          "file instead");
-    }
-    spec::ExperimentSpec experiment =
-        spec::parse_experiment_file(source.spec_path);
-    grid.label = experiment.name.empty() ? source.spec_path : experiment.name;
-    grid.strategy = experiment.strategy;
-    grid.sweep = std::move(experiment.sweep);
-  } else {
-    spec::BuiltinGridOptions options;
-    options.seconds = source.seconds;
-    options.base_seed = source.base_seed;
-    grid.label = source.grid_name;
-    grid.sweep = spec::build_builtin_grid(source.grid_name, options);
-  }
+  grid.label = experiment.name.empty() ? source.spec_path : experiment.name;
+  grid.strategy = experiment.strategy;
+  grid.sweep = std::move(experiment.sweep);
   if (source.strategy.has_value()) grid.strategy = *source.strategy;
   // record_timeline is excluded from scenario fingerprints, so shards and
   // journals written with and without --timeline cut the same grid.
@@ -124,9 +98,7 @@ ResolvedGrid resolve_grid(const GridSource& source) {
 int usage() {
   std::cerr <<
       "usage:\n"
-      "  sweep list   [--seconds N] [--spec FILE] [SHARD.json...]\n"
-      "  sweep dump   --grid NAME --out SPEC.json [--seconds N]"
-      " [--base-seed S]\n"
+      "  sweep list   --spec FILE | SHARD.json...\n"
       "  sweep run    GRID --out PATH [--workers N] [--timeline]\n"
       "               [--shard I/N [--strategy round-robin|lpt] |"
       " --cells A,B,C]\n"
@@ -141,24 +113,9 @@ int usage() {
       "  sweep merge  --out PATH [GRID] SHARD.json...\n"
       "  sweep status GRID --journal-dir DIR\n"
       "  sweep export GRID --journal-dir DIR --out-prefix P\n"
-      "GRID is --grid NAME [--seconds N] [--base-seed S] | --spec FILE\n"
+      "GRID is --spec FILE, a JSON experiment spec\n"
       "exit codes: 0 complete, 1 error, 2 usage, 3 poisoned, 4 halted\n";
   return 2;
-}
-
-std::uint64_t parse_u64(const std::string& flag, const std::string& text) {
-  std::size_t pos = 0;
-  std::uint64_t v = 0;
-  try {
-    v = std::stoull(text, &pos);
-  } catch (const std::exception&) {
-    pos = std::string::npos;
-  }
-  if (pos != text.size() || text.find('-') != std::string::npos) {
-    throw UsageError(flag + ": must be a non-negative integer, got \"" +
-                     text + "\"");
-  }
-  return v;
 }
 
 // "I/N" (1-based shard number) -> 0-based indices of that shard's cells,
@@ -173,20 +130,39 @@ std::vector<std::size_t> parse_shard(const std::string& arg,
       cli::parse_int_at_least("--shard", arg.substr(0, slash), 1);
   const int count =
       cli::parse_int_at_least("--shard", arg.substr(slash + 1), 1);
+  if (number > count) {
+    throw UsageError("--shard: shard " + std::to_string(number) + " of " +
+                     std::to_string(count) + " does not exist (I must be in "
+                     "1.." + std::to_string(count) + ")");
+  }
   return spec::plan_shard_indices(grid.sweep, grid.strategy, number - 1,
                                   count);
 }
 
-std::vector<std::size_t> parse_cells(const std::string& arg) {
+// "A,B,C" -> 0-based cell indices, each inside the grid and listed once.
+std::vector<std::size_t> parse_cells(const std::string& arg,
+                                     const ResolvedGrid& grid) {
+  const std::size_t total = grid.sweep.cells.size();
   std::vector<std::size_t> cells;
+  std::vector<bool> seen(total, false);
   std::size_t start = 0;
   while (start <= arg.size()) {
     std::size_t end = arg.find(',', start);
     if (end == std::string::npos) end = arg.size();
     if (end > start) {
       const std::string token = arg.substr(start, end - start);
-      cells.push_back(static_cast<std::size_t>(
-          cli::parse_int_at_least("--cells", token, 0)));
+      const auto cell = static_cast<std::size_t>(
+          cli::parse_int_at_least("--cells", token, 0));
+      if (cell >= total) {
+        throw UsageError("--cells: cell " + token + " outside the " +
+                         std::to_string(total) + "-cell grid (cells are 0.." +
+                         std::to_string(total - 1) + ")");
+      }
+      if (seen[cell]) {
+        throw UsageError("--cells: cell " + token + " listed twice");
+      }
+      seen[cell] = true;
+      cells.push_back(cell);
     }
     start = end + 1;
   }
@@ -233,47 +209,20 @@ int cmd_list(const GridSource& source,
     return 0;
   }
 
+  const ResolvedGrid grid = resolve_grid(source);
+  double cost = 0.0;
+  for (const ScenarioSpec& cell : grid.sweep.cells) {
+    cost += estimated_cost(cell);
+  }
   TableWriter t({"Grid", "Cells", "Est. cost (Cubic-s)", "Strategy",
                  "Fingerprint"});
-  const auto add_row = [&](const ResolvedGrid& grid) {
-    double cost = 0.0;
-    for (const ScenarioSpec& cell : grid.sweep.cells) {
-      cost += estimated_cost(cell);
-    }
-    t.row()
-        .cell(grid.label)
-        .cell(static_cast<std::int64_t>(grid.sweep.cells.size()))
-        .cell(cost, 0)
-        .cell(spec::to_string(grid.strategy))
-        .cell(std::to_string(sweep_fingerprint(grid.sweep)));
-  };
-  if (!source.spec_path.empty()) {
-    add_row(resolve_grid(source));
-  } else {
-    for (const std::string& name : spec::builtin_grid_names()) {
-      GridSource builtin = source;
-      builtin.grid_name = name;
-      add_row(resolve_grid(builtin));
-    }
-  }
+  t.row()
+      .cell(grid.label)
+      .cell(static_cast<std::int64_t>(grid.sweep.cells.size()))
+      .cell(cost, 0)
+      .cell(spec::to_string(grid.strategy))
+      .cell(std::to_string(sweep_fingerprint(grid.sweep)));
   t.print(std::cout);
-  return 0;
-}
-
-int cmd_dump(const GridSource& source, const std::string& out_path) {
-  spec::ExperimentSpec experiment;
-  experiment.name = source.grid_name;
-  if (source.strategy.has_value()) experiment.strategy = *source.strategy;
-  spec::BuiltinGridOptions options;
-  options.seconds = source.seconds;
-  options.base_seed = source.base_seed;
-  experiment.sweep = spec::build_builtin_grid(source.grid_name, options);
-  write_file(out_path, [&](std::ostream& os) {
-    spec::write_experiment_json(os, experiment);
-  });
-  std::cout << "grid " << source.grid_name << " ("
-            << experiment.sweep.cells.size() << " cells) -> " << out_path
-            << "\n";
   return 0;
 }
 
@@ -292,7 +241,7 @@ int cmd_run(const GridSource& source, const std::string& shard_arg,
   }
   const std::vector<std::size_t> cells = !shard_arg.empty()
                                              ? parse_shard(shard_arg, grid)
-                                             : parse_cells(cells_arg);
+                                             : parse_cells(cells_arg, grid);
   ShardResult shard = run_shard(grid.sweep, cells, workers);
   shard.partition =
       !shard_arg.empty() ? spec::to_string(grid.strategy) : "explicit";
@@ -470,15 +419,7 @@ int main(int argc, char** argv) {
                     arg) != std::end(kOrchestratorFlags)) {
         orchestrator_flag = arg;
       }
-      if (arg == "--grid") source.grid_name = value();
-      else if (arg == "--spec") source.spec_path = value();
-      else if (arg == "--seconds") {
-        source.seconds = cli::parse_int_at_least(arg, value(), 8);
-        source.seconds_given = true;
-      }
-      else if (arg == "--base-seed") {
-        source.base_seed = parse_u64(arg, value());
-      }
+      if (arg == "--spec") source.spec_path = value();
       else if (arg == "--strategy") {
         const std::string name = value();
         source.strategy = spec::partition_from_name(name);
@@ -513,7 +454,6 @@ int main(int argc, char** argv) {
         // with `sweep_report strip runtime` before byte-diffing against a
         // plain run.
         options.metrics_out = value();
-        options.record_runtime = true;
       }
       else if (arg == "--trace-out") options.trace_out = value();
       else if (arg == "--halt-after") {
@@ -529,11 +469,7 @@ int main(int argc, char** argv) {
       else if (arg.rfind("--", 0) == 0) return usage();
       else positional.push_back(arg);
     }
-    if (!source.grid_name.empty() && !source.spec_path.empty()) {
-      throw UsageError("--grid: cannot be combined with --spec");
-    }
-    const bool have_grid =
-        !source.grid_name.empty() || !source.spec_path.empty();
+    const bool have_grid = !source.spec_path.empty();
     const bool journaled = !options.journal_dir.empty();
     if (journaled && (!shard_arg.empty() || !cells_arg.empty())) {
       const std::string flag = !shard_arg.empty() ? "--shard" : "--cells";
@@ -544,13 +480,9 @@ int main(int argc, char** argv) {
       throw UsageError(orchestrator_flag + ": needs --journal-dir");
     }
 
-    if (command == "list") return cmd_list(source, positional);
-    if (command == "dump") {
-      if (source.grid_name.empty() || out_path.empty() ||
-          !positional.empty()) {
-        return usage();
-      }
-      return cmd_dump(source, out_path);
+    if (command == "list") {
+      if (!have_grid && positional.empty()) return usage();
+      return cmd_list(source, positional);
     }
     if (command == "run") {
       if (!have_grid || out_path.empty() || !positional.empty() ||

@@ -137,7 +137,7 @@ DeliveryForecast AdaptiveForecastStrategy::make_forecast(TimePoint now) const {
     std::vector<double>& p = mix.mutable_probabilities();
     std::fill(p.begin(), p.end(), 0.0);
     for (std::size_t k = 0; k < members_.size(); ++k) {
-      evolve_dist(*members_[k].transitions, members_[k].params, evolved[k]);
+      members_[k].transitions->evolve(evolved[k]);
       for (int i = 0; i < base_params_.num_bins; ++i) {
         p[static_cast<std::size_t>(i)] += w[k] * evolved[k].probability(i);
       }

@@ -217,7 +217,7 @@ DeliveryForecast DeliveryForecaster::forecast(const RateDistribution& current,
   RateDistribution evolved = current;
   int floor_packets = 0;
   for (int h = 1; h <= params_.forecast_horizon_ticks; ++h) {
-    evolve_dist(*transitions_, params_, evolved);
+    transitions_->evolve(evolved);
     // Cumulative deliveries cannot decrease with a longer horizon; the
     // previous horizon's count seeds this one's quantile search.
     floor_packets = quantile_packets(evolved, h, floor_packets);
@@ -239,11 +239,8 @@ std::vector<DeliveryForecast> DeliveryForecaster::forecast_batch(
     passes.add();
     flows.add(static_cast<std::int64_t>(dists.size()));
   }
-  if (dists.size() == 1 || params_.dense_inference) {
-    // The dense reference path has no batch kernel; fall back to serial.
-    for (std::size_t f = 0; f < dists.size(); ++f) {
-      out[f] = forecast(*dists[f], now);
-    }
+  if (dists.size() == 1) {
+    out[0] = forecast(*dists[0], now);
     return out;
   }
   std::vector<RateDistribution> evolved(dists.size(),

@@ -42,12 +42,10 @@ struct SproutParams {
   // The evolve kernel stores that span packed and renormalized and skips
   // the rest, making evolution O(bins · bandwidth) instead of O(bins²).
   // ε bounds the per-tick model perturbation (the golden-metrics lock
-  // verifies the end-to-end effect stays inside its tolerance).
+  // verifies the end-to-end effect stays inside its tolerance).  ε = 0 is
+  // the exact reference, bit-identical to the full dense pass, for golden
+  // regeneration and banded-vs-dense equivalence tests.
   double band_epsilon = 1e-12;
-  // Exact-reference escape hatch: evolve through the full dense matrix,
-  // exactly the pre-banding arithmetic, for golden regeneration and
-  // banded-vs-dense equivalence tests.
-  bool dense_inference = false;
 
   // --- sender (§3.4-3.5) ---
   int sender_lookahead_ticks = 5;       // 100 ms delay tolerance

@@ -23,9 +23,7 @@ double phi(double x) { return 0.5 * (1.0 + std::erf(x / std::sqrt(2.0))); }
 
 // The SproutParams fields the transition kernel depends on.  Forecast and
 // sender knobs do NOT appear: a confidence sweep or lookahead ablation
-// shares one matrix.  band_epsilon does — it shapes the packed band — but
-// dense_inference does not: the dense rows are identical either way, so an
-// exact-reference run shares the banded run's matrix build.
+// shares one matrix.  band_epsilon does — it shapes the packed band.
 using MatrixKey = std::tuple<int, double, std::int64_t, double, double, double>;
 
 MatrixKey matrix_key(const SproutParams& params) {
@@ -439,7 +437,7 @@ void SproutBayesFilter::evolve() {
     batch_evolved_ = false;
     return;
   }
-  evolve_dist(*transitions_, params_, dist_);
+  transitions_->evolve(dist_);
 }
 
 void SproutBayesFilter::evolve_batch(
@@ -452,17 +450,11 @@ void SproutBayesFilter::evolve_batch(
     SproutBayesFilter* lead = pending[g];
     if (lead == nullptr) continue;
     assert(!lead->batch_evolved_);
-    if (lead->params_.dense_inference) {
-      // Exact-reference filters keep the historical dense pass.
-      lead->transitions_->evolve_dense(lead->dist_);
-      lead->batch_evolved_ = true;
-      continue;
-    }
     group.clear();
     group.push_back(&lead->dist_);
     for (std::size_t o = g + 1; o < pending.size(); ++o) {
       SproutBayesFilter* other = pending[o];
-      if (other == nullptr || other->params_.dense_inference) continue;
+      if (other == nullptr) continue;
       if (other->transitions_.get() == lead->transitions_.get()) {
         assert(!other->batch_evolved_);
         group.push_back(&other->dist_);

@@ -55,10 +55,10 @@ class RateDistribution {
 //    renormalized, evolved in O(bins · bandwidth) with vectorized
 //    accumulation (util/kernels.h);
 //  * dense: the full bins² pass, bit-for-bit the historical arithmetic,
-//    kept as the exact-reference path (SproutParams::dense_inference).
+//    kept as the kernel-level oracle for tests and benches.
 // ε = 0 trims only entries that are EXACTLY zero (underflowed Gaussian
 // tails) and skips renormalization, making the banded path bit-identical
-// to the dense one.
+// to the dense one — so band_epsilon = 0 is the exact-reference setting.
 class TransitionMatrix {
  public:
   explicit TransitionMatrix(const SproutParams& params);
@@ -117,17 +117,6 @@ class TransitionMatrix {
   std::vector<int> block_row_end_;
 };
 
-// Routes one evolve through the path `params` selects: the banded fast
-// kernel by default, the dense exact-reference pass under dense_inference.
-inline void evolve_dist(const TransitionMatrix& m, const SproutParams& params,
-                        RateDistribution& dist) {
-  if (params.dense_inference) {
-    m.evolve_dense(dist);
-  } else {
-    m.evolve(dist);
-  }
-}
-
 // Process-wide cache of transition matrices, keyed by the SproutParams
 // fields that determine the kernel (bins, rate grid, tick, σ, λz, band ε) —
 // the same pattern as the forecaster's Poisson-CDF ForecastTableCache.
@@ -159,7 +148,6 @@ class SproutBayesFilter {
   // TransitionMatrix::evolve_batch, and each batched filter's next evolve()
   // call becomes a no-op, so callers that cannot reorder the per-filter
   // tick logic (the scenario event loop) can hoist just the evolution.
-  // Filters under dense_inference evolve individually (exact reference).
   // Bit-identical to calling evolve() on each filter in order.
   static void evolve_batch(std::span<SproutBayesFilter* const> filters);
 

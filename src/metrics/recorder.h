@@ -17,8 +17,9 @@
 // result, a FlowTimeline, is plain data: one point per fixed bin with the
 // forecast / capacity / throughput rates, the bin's peak queue depth, its
 // drop count and its mean/max delay.  Realized capacity is not an event
-// stream — finalize() computes it per bin from the flow's delivery trace,
-// exactly like the capacity_series the engine already exports.
+// stream — finalize() computes it per bin from the flow's delivery trace.
+// These are the series the paper's Figure 1 plots (bench/fig01_timeseries
+// reads them from here).
 //
 // Determinism contract (PR 9's invariant, extended): recording never
 // perturbs results.  Taps are raw pointers checked for null on the hot

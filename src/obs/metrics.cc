@@ -1,7 +1,6 @@
 #include "obs/metrics.h"
 
 #include <cstdlib>
-#include <sstream>
 
 #include "util/table.h"
 
@@ -17,14 +16,6 @@ std::atomic<bool> g_enabled{[] {
 }  // namespace detail
 
 namespace {
-
-// Exact 17-significant-digit doubles, the repo-wide JSON discipline.
-void write_double(std::ostream& os, double v) {
-  std::ostringstream tmp;
-  tmp.precision(17);
-  tmp << v;
-  os << tmp.str();
-}
 
 void indent_to(std::ostream& os, int col) {
   for (int i = 0; i < col; ++i) os << ' ';
@@ -169,7 +160,7 @@ void Registry::write_json_impl(std::ostream& os, int indent,
     open(first, indent + 4);
     write_json_string(os, name);
     os << ": ";
-    write_double(os, g.value());
+    write_json_double(os, g.value());
   }
   close_section(first, indent + 2);
   os << ",";
@@ -186,15 +177,15 @@ void Registry::write_json_impl(std::ostream& os, int indent,
     open(first, indent + 4);
     write_json_string(os, name);
     os << ": {\"samples\": " << copy.samples() << ", \"mean_ms\": ";
-    write_double(os, copy.mean_ms());
+    write_json_double(os, copy.mean_ms());
     if (copy.samples() > 0) {
       const DelayStats st = copy.stats();
       os << ", \"p50_ms\": ";
-      write_double(os, st.p50_ms);
+      write_json_double(os, st.p50_ms);
       os << ", \"p95_ms\": ";
-      write_double(os, st.p95_ms);
+      write_json_double(os, st.p95_ms);
       os << ", \"p99_ms\": ";
-      write_double(os, st.p99_ms);
+      write_json_double(os, st.p99_ms);
     }
     os << "}";
   }

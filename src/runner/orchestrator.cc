@@ -57,14 +57,6 @@ std::size_t parse_size(const JsonValue& v, const std::string& label) {
   return static_cast<std::size_t>(i);
 }
 
-// 17-significant-digit doubles, the repo-wide JSON discipline.
-void json_number(std::ostream& os, double v) {
-  std::ostringstream tmp;
-  tmp.precision(17);
-  tmp << v;
-  os << tmp.str();
-}
-
 // Matches a fault-injection entry: n attempts affected, n < 0 = always.
 bool fault_matches(const std::vector<std::pair<std::size_t, int>>& table,
                    std::size_t index, int attempt) {
@@ -112,6 +104,9 @@ std::string one_line(std::string msg) {
 [[noreturn]] void worker_main(const SweepSpec& spec,
                               const OrchestratorOptions& options, int slot,
                               int cmd_fd, int ack_fd) {
+  // Runtime stamps feed the metrics stream, so they are taken exactly when
+  // one is written.
+  const bool stamp_runtime = !options.metrics_out.empty();
   const std::string path =
       options.journal_dir + "/" + journal_file_name(slot);
   std::error_code ec;
@@ -127,7 +122,7 @@ std::string one_line(std::string msg) {
   for (;;) {
     const std::string line = read_line_fd(cmd_fd);
     if (line.empty() || line[0] == 'Q') {
-      if (options.record_runtime) {
+      if (stamp_runtime) {
         // Parting snapshot: this worker's whole obs registry (cache
         // hit/miss tallies always; filter/kernel counters when SPROUT_OBS
         // was on) — compact JSON is single-line, so it rides the ack
@@ -165,11 +160,11 @@ std::string one_line(std::string msg) {
       record.index = index;
       record.fingerprint = one.cell_fingerprints.at(0);
       record.result = std::move(one.cells.at(0));
-      if (options.record_runtime) {
+      if (stamp_runtime) {
         // Execution telemetry, stamped before journaling so the record —
-        // and every merge of it — carries the numbers.  Gated by an
-        // explicit option (NOT the SPROUT_OBS env), so env-enabled obs
-        // runs stay byte-identical to obs-off runs.
+        // and every merge of it — carries the numbers.  Gated by
+        // metrics_out (NOT the SPROUT_OBS env), so env-enabled obs runs
+        // stay byte-identical to obs-off runs.
         record.result.runtime.recorded = true;
         record.result.runtime.wall_s =
             std::chrono::duration<double>(Clock::now() - cell_start).count();
@@ -188,7 +183,7 @@ std::string one_line(std::string msg) {
                                  " journal append failed (disk full?)\n");
         continue;
       }
-      if (options.record_runtime) {
+      if (stamp_runtime) {
         // Extended ack: the coordinator streams these into metrics_out
         // without re-reading the journal.
         std::ostringstream ack;
@@ -343,8 +338,9 @@ class Coordinator {
                << ", \"poisoned\": " << poisoned_.size()
                << ", \"halted\": " << (halted_ ? "true" : "false")
                << ", \"elapsed_s\": ";
-      json_number(metrics_,
-                  std::chrono::duration<double>(Clock::now() - start_).count());
+      write_json_double(
+          metrics_,
+          std::chrono::duration<double>(Clock::now() - start_).count());
       metrics_ << ", \"registry\": ";
       obs::Registry::instance().write_json_compact(metrics_);
       metrics_ << "}\n";
@@ -524,7 +520,7 @@ class Coordinator {
         metrics_ << "{\"event\": \"cell\", \"index\": " << index
                  << ", \"worker\": " << w.slot
                  << ", \"attempt\": " << w.attempt << ", \"wall_s\": ";
-        json_number(metrics_, wall_s);
+        write_json_double(metrics_, wall_s);
         metrics_ << ", \"peak_rss_bytes\": " << peak_rss_bytes << "}\n";
         metrics_.flush();
       }
@@ -614,7 +610,7 @@ class Coordinator {
       is >> tag >> index;
       if (!is || (tag != 'D' && tag != 'F')) continue;
       if (tag == 'D') {
-        // Extended ack under record_runtime: "D <idx> <wall_s> <rss>".
+        // Extended ack under metrics_out: "D <idx> <wall_s> <rss>".
         double wall_s = 0.0;
         std::int64_t peak_rss_bytes = 0;
         is >> wall_s >> peak_rss_bytes;
@@ -782,7 +778,7 @@ class Coordinator {
     for (Worker& w : workers_) {
       if (!w.alive) continue;
       // Drain the ack pipe to EOF before reaping: a quitting worker's last
-      // write is its "S" registry snapshot (record_runtime runs).
+      // write is its "S" registry snapshot (metrics_out runs).
       if (w.ack_fd >= 0) {
         char buf[4096];
         for (;;) {
@@ -858,8 +854,8 @@ class Coordinator {
                << completed_count_ << ", \"total\": " << total_
                << ", \"poisoned\": " << poisoned_.size()
                << ", \"elapsed_s\": ";
-      json_number(metrics_,
-                  std::chrono::duration<double>(now - start_).count());
+      write_json_double(metrics_,
+                        std::chrono::duration<double>(now - start_).count());
       metrics_ << "}\n";
       metrics_.flush();
     }

@@ -72,17 +72,15 @@ struct OrchestratorOptions {
   std::ostream* progress_out = nullptr;
 
   // --- observability ----------------------------------------------------
-  // Stamp every journaled cell's result with a CellRuntime (wall seconds,
-  // worker peak RSS, landing attempt).  The field rides the ordinary
-  // result serialization — merge preserves it, fingerprints (which hash
-  // specs) ignore it — and erase_result_field (runner/shard.h) removes it
-  // for byte-diffs against untelemetered runs.  Set by the CLI whenever
-  // --metrics-out is given.
-  bool record_runtime = false;
   // Streaming telemetry JSONL ("" = off): a header line, one "cell" event
   // per completed cell (index, worker slot, attempt, wall, RSS), "retry"/
   // "poison" events, throttled "progress" events, and a final "summary"
-  // carrying the coordinator's obs-registry snapshot.
+  // carrying the coordinator's obs-registry snapshot.  When set, every
+  // journaled cell's result is also stamped with a CellRuntime (wall
+  // seconds, worker peak RSS, landing attempt).  That field rides the
+  // ordinary result serialization — merge preserves it, fingerprints
+  // (which hash specs) ignore it — and erase_result_field
+  // (runner/shard.h) removes it for byte-diffs against untelemetered runs.
   std::string metrics_out;
   // Chrome-trace-event JSON ("" = off): one complete event per cell
   // occupying its worker slot's lane, instants for spawns/deaths/retries.

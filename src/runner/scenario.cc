@@ -303,22 +303,6 @@ double ScenarioResult::self_inflicted_delay_ms() const {
   return std::max(0.0, delay95_ms() - omniscient_delay95_ms);
 }
 
-double FlowMetricsView::delay95_ms() const {
-  if (flow_->delay95_ms > 0.0 || !flow_->delay_hist.configured()) {
-    return flow_->delay95_ms;
-  }
-  return flow_->delay_hist.percentile_ms(95.0);
-}
-
-DelayStats FlowMetricsView::delay_stats() const {
-  return flow_->delay_hist.configured() ? flow_->delay_hist.stats()
-                                        : DelayStats{};
-}
-
-FlowMetricsView ScenarioResult::flow_metrics(std::size_t i) const {
-  return FlowMetricsView(flows.at(i));
-}
-
 DelayStats ScenarioResult::population_delay() const {
   return population_delay_hist.configured() ? population_delay_hist.stats()
                                             : DelayStats{};
@@ -500,7 +484,7 @@ void validate_flow_spec(const ScenarioSpec& spec, const FlowSpec& flow,
 
 // Non-tower topologies maintain their streaming delay histogram alongside
 // the retained record list (ROADMAP 5(b)) with the tower's default
-// geometry, so flow_metrics(i).delay_stats() reports the same fixed-bin
+// geometry, so delay_hist.stats() reports the same fixed-bin
 // p50/p95/p99/p999 on every topology.
 StreamingMetricsConfig delay_hist_config(TimePoint from, TimePoint to) {
   StreamingMetricsConfig cfg;
@@ -740,10 +724,6 @@ ScenarioResult run_flows(const ScenarioSpec& spec, const ResolvedLink& link) {
                                     r.coactive_capacity_kbps
                               : 0.0;
     }
-    if (spec.capture_series) {
-      fr.series =
-          throughput_delay_series(m, TimePoint{}, meas_to, spec.series_bin);
-    }
     // Aggregate as bytes over the MEASUREMENT window: each flow's rate is
     // weighted by its own window length, so staggered flows contribute
     // the bytes delivered inside their activity windows and utilization
@@ -778,10 +758,6 @@ ScenarioResult run_flows(const ScenarioSpec& spec, const ResolvedLink& link) {
       fwd_link.trace(), 95.0, meas_from, meas_to, spec.propagation_delay_fwd);
   r.packets_delivered = fwd_link.delivered_packets();
   r.link_drops = fwd_link.random_drops() + fwd_link.queue_drops();
-  if (spec.capture_series) {
-    r.capacity_series = capacity_series(fwd_link.trace(), TimePoint{}, meas_to,
-                                        spec.series_bin);
-  }
   return r;
 }
 
@@ -940,10 +916,6 @@ ScenarioResult run_tunnel(const ScenarioSpec& spec, const ResolvedLink& link) {
       fr.timeline = rec->finalize(&down_link.trace(), tunnel_link_rec.get());
     }
     fr.coactive_throughput_kbps = fr.throughput_kbps;
-    if (spec.capture_series) {
-      fr.series =
-          throughput_delay_series(m, TimePoint{}, to, spec.series_bin);
-    }
     r.aggregate_throughput_kbps += fr.throughput_kbps;
     r.max_delay95_ms = std::max(r.max_delay95_ms, fr.delay95_ms);
     r.flows.push_back(std::move(fr));
@@ -964,10 +936,6 @@ ScenarioResult run_tunnel(const ScenarioSpec& spec, const ResolvedLink& link) {
       down_link.trace(), 95.0, from, to, spec.propagation_delay_fwd);
   r.packets_delivered = down_link.delivered_packets();
   r.link_drops = down_link.random_drops() + down_link.queue_drops();
-  if (spec.capture_series) {
-    r.capacity_series =
-        capacity_series(down_link.trace(), TimePoint{}, to, spec.series_bin);
-  }
   return r;
 }
 
@@ -1080,11 +1048,6 @@ ScenarioResult run_scenario(const ScenarioSpec& spec, ScenarioCache* cache) {
   // specs.
   validate_topology(spec.topology);
   if (spec.topology.kind == TopologySpec::Kind::kTower) {
-    if (spec.capture_series) {
-      throw std::invalid_argument(
-          "capture_series is not supported by the tower topology (streaming "
-          "metrics only)");
-    }
     if (spec.warmup >= spec.run_time) {
       throw std::invalid_argument("tower warmup must be < run_time");
     }

@@ -33,7 +33,6 @@
 #include "core/params.h"
 #include "metrics/histogram.h"
 #include "metrics/recorder.h"
-#include "metrics/timeseries.h"
 #include "runner/schemes.h"
 #include "synth/synth.h"
 #include "trace/presets.h"
@@ -177,7 +176,7 @@ struct TopologySpec {
   bool via_tunnel = false;  // kTunnelContention
   // kTower.  The tower owns its own link model (the PF cell), scheme
   // choice (the mix) and metrics geometry, so a tower scenario ignores
-  // ScenarioSpec::scheme / link / capture_series.
+  // ScenarioSpec::scheme / link.
   TowerSpec tower_spec;
 
   [[nodiscard]] static TopologySpec single_flow();
@@ -233,13 +232,11 @@ struct ScenarioSpec {
   double loss_rate_rev = 0.0;
   double sprout_confidence = 95.0;  // Figure 9 sweeps this
   std::uint64_t seed = 42;
-  bool capture_series = false;      // fill per-flow series (Fig. 1)
-  Duration series_bin = msec(500);
   // Flight recorder (metrics/recorder.h): when set, every flow in every
   // topology — tower included — records a fixed-bin timeline (forecast vs
-  // realized capacity, queue depth, drops, per-bin delay) into
-  // FlowResult::timeline.  Pure observability: these two fields are
-  // EXCLUDED from scenario_fingerprint (unlike capture_series), so a
+  // realized capacity, throughput, queue depth, drops, per-bin delay; the
+  // series Figure 1 plots) into FlowResult::timeline.  Pure observability:
+  // these two fields are EXCLUDED from scenario_fingerprint, so a
   // timeline-on cell shares its fingerprint, derived seed and simulated
   // bytes with the timeline-off cell — which is what lets the
   // timeline_roundtrip ctest byte-diff a stripped timeline-on sweep
@@ -307,52 +304,16 @@ struct FlowResult {
   // Streaming per-packet one-way delay histogram over the flow's
   // measurement window.  The tower streams it (no retained records); the
   // other topologies maintain it alongside their retained records, so
-  // flow_metrics(i).delay_stats() reports p50/p95/p99/p999 on EVERY
-  // topology.
+  // delay_hist.stats() reports p50/p95/p99/p999 on EVERY topology.
   DelayHistogram delay_hist;
-  std::vector<SeriesPoint> series;  // if spec.capture_series
   // Flight-recorder timeline (if spec.record_timeline).  Fingerprint-
   // ignored, merge-preserved, omitted from JSON when unconfigured, and
   // erasable via erase_result_field (runner/shard.h).
   FlowTimeline timeline;
 };
 
-// Uniform read-only view over one flow's metrics: the one accessor story
-// for per-flow delay (histogram-backed when streaming, sawtooth-derived
-// otherwise), throughput and fairness inputs.  FlowResult's plain fields
-// remain readable for now; new call sites should go through the view.
-class FlowMetricsView {
- public:
-  explicit FlowMetricsView(const FlowResult& flow) : flow_(&flow) {}
-
-  [[nodiscard]] const std::string& label() const { return flow_->label; }
-  [[nodiscard]] SchemeId scheme() const { return flow_->scheme; }
-  [[nodiscard]] double throughput_kbps() const {
-    return flow_->throughput_kbps;
-  }
-  [[nodiscard]] double capacity_share() const { return flow_->capacity_share; }
-  [[nodiscard]] ByteCount delivered_bytes() const {
-    return flow_->delivered_bytes;
-  }
-  // 95% delay: the §5.1 sawtooth value when recorded, else the streaming
-  // histogram's p95.
-  [[nodiscard]] double delay95_ms() const;
-  // Streaming-histogram percentile summary (p50/p95/p99/p999/mean); all
-  // zeros when the flow has no histogram.
-  [[nodiscard]] DelayStats delay_stats() const;
-  [[nodiscard]] bool has_histogram() const {
-    return flow_->delay_hist.configured();
-  }
-  [[nodiscard]] const DelayHistogram& delay_histogram() const {
-    return flow_->delay_hist;
-  }
-
- private:
-  const FlowResult* flow_;
-};
-
 // Per-cell execution telemetry, stamped by the orchestrator's workers when
-// --metrics-out asks for it (OrchestratorOptions::record_runtime).  Pure
+// --metrics-out asks for it (OrchestratorOptions::metrics_out).  Pure
 // observability: scenario fingerprints hash SPECS, never results, so the
 // field is fingerprint-invisible by construction, merge carries it along
 // untouched, and the JSON writer emits it only when `recorded` — an
@@ -388,7 +349,6 @@ struct ScenarioResult {
   double omniscient_delay95_ms = 0.0;    // baseline on the same trace
   std::int64_t packets_delivered = 0;    // forward link
   std::int64_t link_drops = 0;           // forward link random + queue drops
-  std::vector<SeriesPoint> capacity_series;  // if spec.capture_series
   // Population-wide per-packet delay histogram: the exact merge of every
   // flow's delay_hist.  Configured only for streaming topologies (tower).
   DelayHistogram population_delay_hist;
@@ -405,8 +365,6 @@ struct ScenarioResult {
   // The paper's headline delay metric: max(0, delay95 - omniscient delay95).
   [[nodiscard]] double self_inflicted_delay_ms() const;
 
-  // Uniform per-flow accessor view; throws std::out_of_range.
-  [[nodiscard]] FlowMetricsView flow_metrics(std::size_t i) const;
   // Population delay summary (p50/p95/p99/p999/mean) from the merged
   // histogram; all zeros when no streaming topology ran.
   [[nodiscard]] DelayStats population_delay() const;

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 
@@ -204,19 +203,15 @@ namespace {
 constexpr const char* kShardSchema = "sprout-sweep-shard-v1";
 constexpr const char* kSweepSchema = "sprout-sweep-v1";
 
-// Doubles round-trip exactly: 17 significant digits is enough for any
-// IEEE-754 double, and strtod (the parser's reader) is correctly rounded.
-// JSON has no NaN/inf, so non-finite values become tagged strings.
+// Doubles round-trip exactly (write_json_double).  JSON has no NaN/inf,
+// so non-finite values become tagged strings.
 void json_double(std::ostream& os, double v) {
   if (std::isnan(v)) {
     os << "\"nan\"";
   } else if (std::isinf(v)) {
     os << (v > 0 ? "\"inf\"" : "\"-inf\"");
   } else {
-    std::ostringstream tmp;
-    tmp.precision(17);
-    tmp << v;
-    os << tmp.str();
+    write_json_double(os, v);
   }
 }
 
@@ -269,40 +264,16 @@ std::int64_t read_i64(const JsonValue& v) {
   return i;
 }
 
-void write_series(std::ostream& os, const std::vector<SeriesPoint>& series) {
-  os << '[';
-  for (std::size_t i = 0; i < series.size(); ++i) {
-    if (i > 0) os << ',';
-    const SeriesPoint& p = series[i];
-    os << '[';
-    json_double(os, p.time_s);
-    os << ',';
-    json_double(os, p.throughput_kbps);
-    os << ',';
-    json_double(os, p.max_delay_ms);
-    os << ',';
-    json_double(os, p.mean_delay_ms);
-    os << ']';
+// Flows and results still carry the "series" / "capacity_series" members
+// of a removed per-bin capture, always as empty arrays, so every result
+// file written before and after the removal keeps its bytes.  A non-empty
+// one holds data this reader can no longer represent.
+void require_empty_legacy_array(const JsonValue& v, const std::string& key) {
+  if (!v.at(key).as_array().empty()) {
+    throw std::runtime_error("JSON: \"" + key +
+                             "\" must be empty (capture_series was removed; "
+                             "record_timeline records per-bin series)");
   }
-  os << ']';
-}
-
-std::vector<SeriesPoint> read_series(const JsonValue& v) {
-  std::vector<SeriesPoint> series;
-  series.reserve(v.as_array().size());
-  for (const JsonValue& e : v.as_array()) {
-    const auto& tuple = e.as_array();
-    if (tuple.size() != 4) {
-      throw std::runtime_error("JSON: series point is not a 4-tuple");
-    }
-    SeriesPoint p;
-    p.time_s = read_double(tuple[0]);
-    p.throughput_kbps = read_double(tuple[1]);
-    p.max_delay_ms = read_double(tuple[2]);
-    p.mean_delay_ms = read_double(tuple[3]);
-    series.push_back(p);
-  }
-  return series;
 }
 
 // Histograms travel as geometry + sparse [bin, count] pairs: a tower
@@ -446,9 +417,7 @@ void write_flow(std::ostream& os, const FlowResult& f) {
     os << ", \"timeline\": ";
     write_timeline(os, f.timeline);
   }
-  os << ", \"series\": ";
-  write_series(os, f.series);
-  os << '}';
+  os << ", \"series\": []}";
 }
 
 FlowResult read_flow(const JsonValue& v) {
@@ -470,7 +439,7 @@ FlowResult read_flow(const JsonValue& v) {
   f.delivered_bytes = read_i64(v.at("delivered_bytes"));
   if (v.has("delay_hist")) f.delay_hist = read_hist(v.at("delay_hist"));
   if (v.has("timeline")) f.timeline = read_timeline(v.at("timeline"));
-  f.series = read_series(v.at("series"));
+  require_empty_legacy_array(v, "series");
   return f;
 }
 
@@ -514,9 +483,7 @@ void write_result(std::ostream& os, const ScenarioResult& r) {
     os << ", \"peak_rss_bytes\": " << r.runtime.peak_rss_bytes
        << ", \"attempt\": " << r.runtime.attempt << '}';
   }
-  os << ", \"capacity_series\": ";
-  write_series(os, r.capacity_series);
-  os << '}';
+  os << ", \"capacity_series\": []}";
 }
 
 ScenarioResult read_result(const JsonValue& v) {
@@ -546,7 +513,7 @@ ScenarioResult read_result(const JsonValue& v) {
     r.runtime.peak_rss_bytes = read_i64(rt.at("peak_rss_bytes"));
     r.runtime.attempt = static_cast<int>(read_i64(rt.at("attempt")));
   }
-  r.capacity_series = read_series(v.at("capacity_series"));
+  require_empty_legacy_array(v, "capacity_series");
   return r;
 }
 

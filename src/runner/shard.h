@@ -16,8 +16,8 @@
 // plausible-looking chimera.
 //
 // The `sweep` CLI (examples/sweep.cpp) is the process driver:
-//   sweep run   --grid G --shard i/N --out shard_i.json
-//   sweep merge --grid G --out merged.json shard_*.json
+//   sweep run   --spec G.json --shard i/N --out shard_i.json
+//   sweep merge --spec G.json --out merged.json shard_*.json
 // and `run` without --shard writes the merged schema directly, so a full
 // single-process run and a merged N-process run of the same grid produce
 // byte-identical files (the ctest shard_roundtrip target diffs them).

@@ -51,11 +51,10 @@ void hash_sprout_params(Fnv& h, const SproutParams& p) {
   h.i64(p.assumed_propagation.count());
   h.i64(p.mtu);
   h.i64(p.heartbeat_bytes);
-  // Fast-path knobs are hashed only when moved off their defaults, so every
+  // The fast-path knob is hashed only when moved off its default, so every
   // fingerprint (and the content-derived seeds built from them) from before
-  // the knobs existed stays stable.
+  // the knob existed stays stable.
   if (p.band_epsilon != 1e-12) h.f64(p.band_epsilon);
-  if (p.dense_inference) h.u64(2);
 }
 
 void hash_flow_spec(Fnv& h, const FlowSpec& f) {
@@ -196,8 +195,11 @@ std::uint64_t scenario_fingerprint(const ScenarioSpec& spec) {
   if (spec.loss_rate_rev != spec.loss_rate_fwd) h.f64(spec.loss_rate_rev);
   h.f64(spec.sprout_confidence);
   h.u64(spec.seed);
-  h.u64(spec.capture_series ? 1 : 0);
-  h.i64(spec.series_bin.count());
+  // Two removed fields (capture_series, series_bin) are still hashed at
+  // their old defaults — off and 500 ms — so the fingerprints and
+  // content-derived seeds of existing specs and result files do not move.
+  h.u64(0);
+  h.i64(msec(500).count());
   return h.state;
 }
 

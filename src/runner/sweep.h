@@ -77,11 +77,6 @@ class SweepRunner {
   [[nodiscard]] std::vector<ScenarioResult> run(
       const std::vector<ScenarioSpec>& specs);
 
-  // The shared trace cache (hit/miss counters for tests and benches).
-  [[nodiscard]] const ScenarioCache& cache() const { return cache_; }
-
-  [[nodiscard]] const SweepOptions& options() const { return options_; }
-
  private:
   SweepOptions options_;
   ScenarioCache cache_;

@@ -77,8 +77,8 @@ struct ExperimentSpec {
 // Writes an experiment as an explicit-cells document (expansion is
 // one-way: a dumped grid lists its cells, not the axes that produced
 // them).  Deterministic byte output; re-parsing yields a sweep with
-// identical cell fingerprints, which is how compiled-in grids are locked
-// against their checked-in spec twins.
+// identical cell fingerprints (table_coexistence --dump-spec relies on it,
+// and SpecGrid.CheckedInSpecsReparseIdentically checks it).
 void write_experiment_json(std::ostream& os, const ExperimentSpec& spec);
 
 }  // namespace sprout::spec

@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <ostream>
-#include <sstream>
 #include <string>
 
 #include "util/table.h"
@@ -18,12 +17,9 @@
 
 namespace sprout::spec {
 
-// Exact 17-significant-digit doubles, as in runner/shard.cc.
+// The spec emitters' name for write_json_double (util/table.h).
 inline void write_double(std::ostream& os, double v) {
-  std::ostringstream tmp;
-  tmp.precision(17);
-  tmp << v;
-  os << tmp.str();
+  write_json_double(os, v);
 }
 
 class ObjectWriter {

@@ -40,9 +40,9 @@ SproutParams read_sprout_params(const Field& doc) {
   doc.allow_keys({"num_bins", "max_rate_pps", "tick_s", "sigma_pps_per_sqrt_s",
                   "outage_escape_rate_per_s", "forecast_horizon_ticks",
                   "confidence_percent", "max_count", "count_noise_in_forecast",
-                  "band_epsilon", "dense_inference",
-                  "sender_lookahead_ticks", "throwaway_window_s",
-                  "assumed_propagation_s", "mtu_bytes", "heartbeat_bytes"});
+                  "band_epsilon", "sender_lookahead_ticks",
+                  "throwaway_window_s", "assumed_propagation_s", "mtu_bytes",
+                  "heartbeat_bytes"});
   SproutParams p;
   if (const auto f = doc.get("num_bins")) p.num_bins = static_cast<int>(f->int_at_least(2));
   if (const auto f = doc.get("max_rate_pps")) p.max_rate_pps = f->positive();
@@ -54,7 +54,6 @@ SproutParams read_sprout_params(const Field& doc) {
   if (const auto f = doc.get("max_count")) p.max_count = static_cast<int>(f->int_at_least(1));
   if (const auto f = doc.get("count_noise_in_forecast")) p.count_noise_in_forecast = f->as_bool();
   if (const auto f = doc.get("band_epsilon")) p.band_epsilon = f->in_range(0.0, 1e-3);
-  if (const auto f = doc.get("dense_inference")) p.dense_inference = f->as_bool();
   if (const auto f = doc.get("sender_lookahead_ticks")) p.sender_lookahead_ticks = static_cast<int>(f->int_at_least(0));
   if (const auto f = doc.get("throwaway_window_s")) p.throwaway_window = f->non_negative_seconds();
   if (const auto f = doc.get("assumed_propagation_s")) p.assumed_propagation = f->non_negative_seconds();
@@ -234,8 +233,7 @@ ScenarioSpec scenario_from_field(const Field& doc) {
                   "warmup_s", "propagation_delay_s", "propagation_delay_fwd_s",
                   "propagation_delay_rev_s", "loss_rate", "loss_rate_fwd",
                   "loss_rate_rev", "sprout_confidence", "seed",
-                  "capture_series", "series_bin_s", "record_timeline",
-                  "timeline_bin_s"});
+                  "record_timeline", "timeline_bin_s"});
   ScenarioSpec spec;
   if (const auto f = doc.get("topology")) spec.topology = read_topology(*f);
   if (spec.topology.kind == TopologySpec::Kind::kTower) {
@@ -252,11 +250,6 @@ ScenarioSpec scenario_from_field(const Field& doc) {
       doc.at("link").fail(
           "tower topologies draw channels from topology.tower.channel; "
           "remove link");
-    }
-    if (doc.has("capture_series")) {
-      doc.at("capture_series").fail(
-          "tower scenarios report streaming histograms, not time series; "
-          "remove capture_series");
     }
   }
   if (const auto f = doc.get("link")) spec.link = read_link(*f);
@@ -308,14 +301,6 @@ ScenarioSpec scenario_from_field(const Field& doc) {
     spec.sprout_confidence = f->in_range(0.0, 100.0);
   }
   if (const auto f = doc.get("seed")) spec.seed = f->as_u64();
-  if (const auto f = doc.get("capture_series")) {
-    spec.capture_series = f->as_bool();
-  }
-  if (const auto f = doc.get("series_bin_s")) {
-    spec.series_bin = f->positive_seconds();
-  }
-  // Unlike capture_series, the flight recorder streams fixed-bin state on
-  // EVERY topology, towers included.
   if (const auto f = doc.get("record_timeline")) {
     spec.record_timeline = f->as_bool();
   }
@@ -375,9 +360,6 @@ void write_sprout_params(std::ostream& os, const SproutParams& p, int indent) {
     w.boolean("count_noise_in_forecast", p.count_noise_in_forecast);
   }
   if (p.band_epsilon != d.band_epsilon) w.number("band_epsilon", p.band_epsilon);
-  if (p.dense_inference != d.dense_inference) {
-    w.boolean("dense_inference", p.dense_inference);
-  }
   if (p.sender_lookahead_ticks != d.sender_lookahead_ticks) {
     w.integer("sender_lookahead_ticks", p.sender_lookahead_ticks);
   }
@@ -552,12 +534,6 @@ void write_scenario_json(std::ostream& os, const ScenarioSpec& spec,
       w.integer("seed", static_cast<std::int64_t>(spec.seed));
     } else {
       w.str("seed", std::to_string(spec.seed));
-    }
-  }
-  if (spec.capture_series) {
-    w.boolean("capture_series", true);
-    if (spec.series_bin != defaults.series_bin) {
-      w.seconds("series_bin_s", spec.series_bin);
     }
   }
   if (spec.record_timeline) {

@@ -88,6 +88,13 @@ void write_json_string(std::ostream& os, const std::string& s) {
   os << '"';
 }
 
+void write_json_double(std::ostream& os, double v) {
+  std::ostringstream tmp;
+  tmp.precision(17);
+  tmp << v;
+  os << tmp.str();
+}
+
 void TableWriter::write_json(std::ostream& os) const {
   os << "[\n";
   for (std::size_t r = 0; r < rows_.size(); ++r) {

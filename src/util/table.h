@@ -100,4 +100,9 @@ class JsonValue {
 // TableWriter::write_json does internally.
 void write_json_string(std::ostream& os, const std::string& s);
 
+// Writes a finite double with 17 significant digits, the repo-wide JSON
+// discipline: enough for any IEEE-754 double, and strtod (JsonValue's
+// reader) is correctly rounded, so write -> parse -> write is a fixed point.
+void write_json_double(std::ostream& os, double v);
+
 }  // namespace sprout

@@ -130,7 +130,7 @@ TEST(Forecast, FloorHintNeverChangesTheForecast) {
       RateDistribution evolved = d;
       int floor = 0;
       for (int h = 1; h <= p.forecast_horizon_ticks; ++h) {
-        evolve_dist(*kernel, p, evolved);
+        kernel->evolve(evolved);
         const int plain = std::max(fc.quantile_packets(evolved, h), floor);
         const int hinted = fc.quantile_packets(evolved, h, floor);
         EXPECT_EQ(hinted, plain)

@@ -245,11 +245,6 @@ TEST(TransitionMatrixCache, BandEpsilonKeysTheCache) {
   tighter.band_epsilon = 1e-15;
   const auto b = TransitionMatrixCache::get(tighter);
   EXPECT_NE(a.get(), b.get());
-  // dense_inference is NOT part of the key: the matrix stores both paths.
-  SproutParams dense = p;
-  dense.dense_inference = true;
-  const auto c = TransitionMatrixCache::get(dense);
-  EXPECT_EQ(a.get(), c.get());
 }
 
 // --- banded fast path ----------------------------------------------------
@@ -300,7 +295,7 @@ TEST(BandedEvolve, SteadyStateStaysClosedToDense) {
   // both paths for many ticks and compare the posteriors.
   SproutParams banded_params;  // full 256 bins, default ε
   SproutParams dense_params = banded_params;
-  dense_params.dense_inference = true;
+  dense_params.band_epsilon = 0.0;  // the exact reference
   SproutBayesFilter banded(banded_params);
   SproutBayesFilter dense(dense_params);
   for (int t = 0; t < 300; ++t) {

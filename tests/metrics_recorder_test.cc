@@ -274,8 +274,8 @@ TEST(DelayPercentiles, HistogramWithinOneBinOfRetainedRecords) {
 }
 
 // Every non-streaming topology's FlowResult now carries a populated
-// histogram, so flow_metrics(i).delay_stats() works on single-flow and
-// shared-queue runs exactly as it always has on towers.
+// histogram, so delay_hist.stats() works on single-flow and shared-queue
+// runs exactly as it always has on towers.
 TEST(DelayPercentiles, EveryTopologyReportsStreamingPercentiles) {
   ScenarioSpec single = small_spec();
   ScenarioSpec shared = small_spec();
@@ -287,7 +287,7 @@ TEST(DelayPercentiles, EveryTopologyReportsStreamingPercentiles) {
     for (std::size_t f = 0; f < r.flows.size(); ++f) {
       SCOPED_TRACE(f);
       ASSERT_TRUE(r.flows[f].delay_hist.configured());
-      const DelayStats st = r.flow_metrics(f).delay_stats();
+      const DelayStats st = r.flows[f].delay_hist.stats();
       ASSERT_GT(st.samples, 0);
       EXPECT_GT(st.p50_ms, 0.0);
       EXPECT_LE(st.p50_ms, st.p95_ms);

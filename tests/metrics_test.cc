@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "metrics/timeseries.h"
 #include "sim/simulator.h"
 
 namespace sprout {
@@ -134,31 +133,6 @@ TEST(MeasuredSink, RecordsAndForwards) {
   EXPECT_EQ(next.n, 1);
   EXPECT_EQ(sink.metrics().records().size(), 1u);
   EXPECT_EQ(sink.metrics().total_bytes(), 700);
-}
-
-TEST(Timeseries, BinsThroughputAndDelay) {
-  FlowMetrics m;
-  for (int i = 0; i < 100; ++i) {
-    m.record(rec(i * 10, i * 10 + 25, 1500));
-  }
-  const auto series = throughput_delay_series(
-      m, TimePoint{}, TimePoint{} + sec(1), msec(500));
-  ASSERT_EQ(series.size(), 2u);
-  // Arrivals land at 25, 35, ..., so bin [0,500) holds 48 packets:
-  // 1500*48*8/1000 / 0.5 s = 1152 kbps.
-  EXPECT_NEAR(series[0].throughput_kbps, 1152.0, 1.0);
-  EXPECT_NEAR(series[0].max_delay_ms, 25.0, 1e-6);
-}
-
-TEST(Timeseries, CapacitySeries) {
-  std::vector<TimePoint> opp;
-  for (int i = 1; i <= 100; ++i) opp.push_back(TimePoint{} + msec(i * 10));
-  const Trace t{std::move(opp), sec(2)};
-  const auto series =
-      capacity_series(t, TimePoint{}, TimePoint{} + sec(2), msec(500));
-  ASSERT_EQ(series.size(), 4u);
-  EXPECT_GT(series[0].throughput_kbps, 1000.0);
-  EXPECT_NEAR(series[3].throughput_kbps, 0.0, 1e-9);  // trace ends at 1 s
 }
 
 }  // namespace

@@ -50,9 +50,9 @@ TEST(Experiment, BandedInferenceMatchesDenseReferenceEndToEnd) {
   // The banded evolve kernel perturbs the model by at most ε = 1e-12 per
   // tick; over a full closed-loop run on BOTH a recorded preset and a
   // synthetic link, the headline metrics must stay within the golden lock's
-  // tolerance of the exact dense-inference reference.
+  // tolerance of the exact reference (ε = 0, bit-identical to dense).
   SproutParams dense;
-  dense.dense_inference = true;
+  dense.band_epsilon = 0.0;
   std::vector<ScenarioSpec> cells;
   {
     ScenarioSpec preset = quick(SchemeId::kSprout);
@@ -94,15 +94,24 @@ TEST(Experiment, OmniscientSchemeHasZeroSelfInflictedDelay) {
 }
 
 TEST(Experiment, SeriesCaptureProducesAlignedSeries) {
+  // Figure 1's series come from the flight recorder: one point per bin from
+  // t = 0, each carrying the link capacity beside the flow's throughput.
   ScenarioSpec c = quick(SchemeId::kSproutEwma);
-  c.capture_series = true;
+  c.record_timeline = true;
   const ScenarioResult r = run_scenario(c);
-  const std::vector<SeriesPoint>& series = r.flows.front().series;
-  EXPECT_FALSE(series.empty());
-  EXPECT_EQ(series.size(), r.capacity_series.size());
-  double series_sum = 0.0;
-  for (const SeriesPoint& p : series) series_sum += p.throughput_kbps;
-  EXPECT_GT(series_sum, 0.0);
+  const std::vector<TimelinePoint>& points = r.flows.front().timeline.points;
+  ASSERT_EQ(points.size(),
+            static_cast<std::size_t>(c.run_time / c.timeline_bin));
+  EXPECT_DOUBLE_EQ(points.back().time_s,
+                   to_seconds(c.run_time - c.timeline_bin));
+  double throughput_sum = 0.0;
+  double capacity_sum = 0.0;
+  for (const TimelinePoint& p : points) {
+    throughput_sum += p.throughput_kbps;
+    capacity_sum += p.capacity_kbps;
+  }
+  EXPECT_GT(throughput_sum, 0.0);
+  EXPECT_GT(capacity_sum, 0.0);
 }
 
 TEST(Experiment, LossConfigReducesThroughput) {
@@ -246,7 +255,7 @@ TEST(SharedQueue, SingleFlowMatchesShapeOfDedicatedRun) {
   const ScenarioResult shared =
       run_scenario(shared_quick(SchemeId::kSprout, 1));
   ASSERT_EQ(shared.flows.size(), 1u);
-  EXPECT_GT(shared.flow_metrics(0).throughput_kbps(), 100.0);
+  EXPECT_GT(shared.flows[0].throughput_kbps, 100.0);
   EXPECT_NEAR(shared.jain_index, 1.0, 1e-9);
 }
 
@@ -254,7 +263,7 @@ TEST(SharedQueue, SymmetricSproutsShareFairly) {
   const ScenarioResult r = run_scenario(shared_quick(SchemeId::kSprout, 4));
   ASSERT_EQ(r.flows.size(), 4u);
   for (std::size_t i = 0; i < r.flows.size(); ++i) {
-    EXPECT_GT(r.flow_metrics(i).throughput_kbps(), 0.0);
+    EXPECT_GT(r.flows[i].throughput_kbps, 0.0);
   }
   EXPECT_GT(r.jain_index, 0.75);
 }

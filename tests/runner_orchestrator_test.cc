@@ -156,7 +156,6 @@ TEST(Orchestrator, RecordRuntimeStampsCellsWithoutPerturbingResults) {
   const SweepSpec grid = tiny_grid();
   const std::string dir = fresh_dir("runtime");
   OrchestratorOptions options = quiet_options(dir);
-  options.record_runtime = true;
   options.metrics_out = dir + "/metrics.jsonl";
   options.trace_out = dir + "/trace.json";
   const OrchestrateOutcome outcome = orchestrate_sweep(grid, options);

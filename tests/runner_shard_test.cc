@@ -300,6 +300,24 @@ TEST_F(ShardMerge, CorruptShardJsonIsRejected) {
   write_sweep_json(sweep_os, merged);
   EXPECT_THROW((void)read_shard_json(sweep_os.str()), std::runtime_error);
   EXPECT_THROW((void)read_sweep_json(whole), std::runtime_error);
+
+  // The legacy per-bin series members are written empty and must stay so;
+  // the reader names the member it refuses.
+  for (const std::string member : {"series", "capacity_series"}) {
+    const std::string empty = "\"" + member + "\": []";
+    std::string legacy = whole;
+    const std::size_t at = legacy.find(empty);
+    ASSERT_NE(at, std::string::npos) << member;
+    legacy.replace(at, empty.size(), "\"" + member + "\": [[0, 1, 2, 3]]");
+    try {
+      (void)read_shard_json(legacy);
+      ADD_FAILURE() << "non-empty " << member << " was accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("\"" + member + "\""),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST_F(ShardMerge, CounterBeyondDoubleExactRangeIsRejected) {

@@ -2,10 +2,9 @@
 
 #include <gtest/gtest.h>
 
-#include <fstream>
+#include <filesystem>
 #include <sstream>
 
-#include "spec/builtin.h"
 #include "spec_test_util.h"
 
 namespace sprout::spec {
@@ -295,52 +294,50 @@ TEST(SpecGrid, ExpansionErrorsCarryTheCellIndex) {
       "cells[1].scheme: unknown scheme \"nope\"");
 }
 
-// The acceptance lock: the checked-in example spec and the compiled-in
-// grid it mirrors must expand to the same content address, cell for cell.
+// The acceptance lock: the checked-in specs expand to exactly the grids
+// the sweep CLI once compiled in (10 s cells, base seed 42).  The literals
+// are those grids' sweep fingerprints, so any drift in the files or in the
+// fingerprint itself fails here.
 TEST(SpecGrid, CheckedInSpecMatchesCompiledGrid) {
-  const std::string path =
-      std::string(SPROUT_SOURCE_DIR) + "/specs/coexistence_smoke.json";
-  std::ifstream in(path);
-  ASSERT_TRUE(in) << "cannot read " << path;
-  std::ostringstream text;
-  text << in.rdbuf();
-  const ExperimentSpec from_file = parse_experiment_json(text.str(), path);
-
-  BuiltinGridOptions options;
-  options.seconds = 10;
-  options.base_seed = 42;
-  const SweepSpec compiled = build_builtin_grid("coexistence-smoke", options);
-
-  ASSERT_EQ(from_file.sweep.cells.size(), compiled.cells.size());
-  for (std::size_t i = 0; i < compiled.cells.size(); ++i) {
-    EXPECT_EQ(scenario_fingerprint(from_file.sweep.cells[i]),
-              scenario_fingerprint(compiled.cells[i]))
-        << "cell " << i;
+  const struct {
+    const char* file;
+    const char* name;
+    std::uint64_t fingerprint;
+    PartitionStrategy strategy;
+  } locks[] = {
+      {"coexistence_smoke.json", "coexistence-smoke", 16589686577502135053ull,
+       PartitionStrategy::kLpt},
+      {"mixed_duration.json", "mixed-duration", 17961968230684069721ull,
+       PartitionStrategy::kRoundRobin},
+  };
+  for (const auto& lock : locks) {
+    const ExperimentSpec spec = parse_experiment_file(
+        std::string(SPROUT_SOURCE_DIR) + "/specs/" + lock.file);
+    EXPECT_EQ(sweep_fingerprint(spec.sweep), lock.fingerprint) << lock.file;
+    EXPECT_EQ(spec.name, lock.name);
+    EXPECT_EQ(spec.strategy, lock.strategy) << lock.file;
+    ASSERT_TRUE(spec.sweep.base_seed.has_value()) << lock.file;
+    EXPECT_EQ(*spec.sweep.base_seed, 42u) << lock.file;
   }
-  EXPECT_EQ(sweep_fingerprint(from_file.sweep), sweep_fingerprint(compiled));
-  EXPECT_EQ(from_file.name, "coexistence-smoke");
-  EXPECT_EQ(from_file.strategy, PartitionStrategy::kLpt);
 }
 
-// Dump -> parse is fingerprint-preserving for every compiled grid, so any
-// grid can be exported to a spec file and rerun without drift.
-TEST(SpecGrid, DumpedBuiltinGridsReparseIdentically) {
-  for (const std::string& name : builtin_grid_names()) {
-    BuiltinGridOptions options;
-    options.seconds = 12;
-    options.base_seed = 7;
-    ExperimentSpec experiment;
-    experiment.name = name;
-    experiment.sweep = build_builtin_grid(name, options);
-
+// Write -> parse is fingerprint-preserving for every checked-in spec, so
+// any grid can be re-emitted as a spec file and rerun without drift.
+TEST(SpecGrid, CheckedInSpecsReparseIdentically) {
+  std::vector<std::filesystem::path> paths;
+  for (const auto& entry : std::filesystem::directory_iterator(
+           std::string(SPROUT_SOURCE_DIR) + "/specs")) {
+    if (entry.path().extension() == ".json") paths.push_back(entry.path());
+  }
+  ASSERT_GE(paths.size(), 4u);
+  for (const std::filesystem::path& path : paths) {
+    const ExperimentSpec spec = parse_experiment_file(path.string());
     std::ostringstream os;
-    write_experiment_json(os, experiment);
-    const ExperimentSpec back = parse_experiment_json(os.str(), name);
-    EXPECT_EQ(sweep_fingerprint(back.sweep),
-              sweep_fingerprint(experiment.sweep))
-        << name << ":\n" << os.str();
-    ASSERT_TRUE(back.sweep.base_seed.has_value());
-    EXPECT_EQ(*back.sweep.base_seed, 7u);
+    write_experiment_json(os, spec);
+    const ExperimentSpec back = parse_experiment_json(os.str(), path.string());
+    EXPECT_EQ(sweep_fingerprint(back.sweep), sweep_fingerprint(spec.sweep))
+        << path << ":\n" << os.str();
+    EXPECT_EQ(back.sweep.base_seed, spec.sweep.base_seed) << path;
   }
 }
 

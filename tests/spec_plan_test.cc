@@ -5,18 +5,17 @@
 #include <algorithm>
 #include <sstream>
 
-#include "spec/builtin.h"
+#include "spec/grid.h"
 
 namespace sprout::spec {
 namespace {
 
 SweepSpec unbalanced_grid() {
-  BuiltinGridOptions options;
-  options.seconds = 10;
-  options.base_seed = 42;
   // mixed-duration: 5 cells whose costs span two orders of magnitude
   // (single Cubic/Vegas cells next to multi-flow Sprout cells).
-  return build_builtin_grid("mixed-duration", options);
+  return parse_experiment_file(std::string(SPROUT_SOURCE_DIR) +
+                               "/specs/mixed_duration.json")
+      .sweep;
 }
 
 double shard_cost(const SweepSpec& spec,

@@ -69,8 +69,8 @@ TEST(SpecScenarioIo, TunnelSyntheticAqmLossAndSeriesRoundTrip) {
   synthetic.link = LinkSpec::synthetic(fast, slow, 11, 22);
   synthetic.loss_rate_fwd = 0.05;
   synthetic.loss_rate_rev = 0.01;  // asymmetric split must survive
-  synthetic.capture_series = true;
-  synthetic.series_bin = msec(250);
+  synthetic.record_timeline = true;
+  synthetic.timeline_bin = msec(250);
   synthetic.seed = (1ull << 60) + 3;  // exceeds 2^53: travels as a string
   expect_roundtrip(synthetic);
 
@@ -313,6 +313,21 @@ TEST(SpecScenarioIo, StructuralMistakesAreRejected) {
   expect_spec_error(
       [] { (void)parse_scenario_json(R"({"link_aqm": "RED"})"); },
       "link_aqm: unknown link AQM \"RED\"");
+  // Keys of deleted options fail like any other misspelling.
+  expect_spec_error(
+      [] { (void)parse_scenario_json(R"({"capture_series": true})"); },
+      "capture_series: unknown field");
+  expect_spec_error(
+      [] { (void)parse_scenario_json(R"({"series_bin_s": 0.25})"); },
+      "series_bin_s: unknown field");
+  expect_spec_error(
+      [] {
+        (void)parse_scenario_json(
+            R"({"topology": {"kind": "shared-queue", "flows": [
+                  {"scheme": "Sprout",
+                   "sprout_params": {"dense_inference": true}}]}})");
+      },
+      "topology.flows[0].sprout_params.dense_inference: unknown field");
 }
 
 TEST(SpecScenarioIo, TowerTopologyRoundTrips) {
@@ -363,7 +378,7 @@ TEST(SpecScenarioIo, TowerRejectsSchemeLinkAndSeriesKeys) {
         (void)parse_scenario_json(
             R"({"capture_series": true, "topology": {"kind": "tower"}})");
       },
-      "capture_series: tower scenarios report streaming histograms");
+      "capture_series: unknown field");
 }
 
 TEST(SpecScenarioIo, TowerReaderValidatesWithPaths) {
