@@ -7,7 +7,7 @@
 //
 // All benches build on the scenario engine: base_spec()/shared_spec()/
 // tunnel_spec() are the one canonical configuration path, and grid benches
-// hand their specs to a SweepRunner so independent cells run concurrently
+// hand their specs to run_sweep so independent cells run concurrently
 // (sweep() preserves input order and is bit-identical to a serial loop).
 #pragma once
 
@@ -17,8 +17,8 @@
 
 #include "runner/scenario.h"
 #include "runner/schemes.h"
+#include "runner/shard.h"
 #include "trace/presets.h"
-#include "runner/sweep.h"
 
 namespace sprout::bench {
 
@@ -62,8 +62,7 @@ inline ScenarioSpec tunnel_spec(bool via_tunnel,
 
 // Runs a grid of independent cells on all cores, in input order.
 inline std::vector<ScenarioResult> sweep(const std::vector<ScenarioSpec>& specs) {
-  SweepRunner runner;
-  return runner.run(specs);
+  return run_sweep(SweepSpec{specs, std::nullopt}).cells;
 }
 
 }  // namespace sprout::bench

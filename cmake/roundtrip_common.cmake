@@ -57,18 +57,23 @@ endfunction()
 
 # sweep_roundtrip(N --spec FILE [FLAGS...]): lints the spec (wall-clock
 # estimate included), runs it as one process (full.json) and as N shard
-# processes (shard<i>.json, cut by the spec's strategy unless FLAGS pass
-# --strategy), lists and merges the shards — verified against the grid —
-# into merged.json, and requires it byte-identical to full.json.
+# processes (shard<i>.journal.jsonl, the grid's LPT cut), checks with
+# `sweep status` that the journals cover the grid, merges them — verified
+# against the grid — into merged.json, and requires it byte-identical to
+# full.json.
 function(sweep_roundtrip shards)
   run_tool(${SPEC_LINT} ${ARGV2} --expand --shards ${shards} --wall-clock)
   run_tool(${SWEEP} run ${ARGN} --out full.json)
   set(parts)
   foreach(i RANGE 1 ${shards})
-    run_tool(${SWEEP} run ${ARGN} --shard ${i}/${shards} --out shard${i}.json)
-    list(APPEND parts shard${i}.json)
+    run_tool(${SWEEP} run ${ARGN} --shard ${i}/${shards}
+      --out shard${i}.journal.jsonl)
+    list(APPEND parts shard${i}.journal.jsonl)
   endforeach()
-  run_tool(${SWEEP} list ${parts})
+  run_expect(0 ${SWEEP} status ${ARGN} ${parts})
+  if(NOT STDOUT MATCHES " 0 remaining")
+    message(FATAL_ERROR "shard journals do not cover the grid:\n${STDOUT}")
+  endif()
   run_tool(${SWEEP} merge ${ARGN} --out merged.json ${parts})
   require_same(merged.json full.json
     "${shards}-shard merge vs single-process run")

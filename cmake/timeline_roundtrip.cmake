@@ -1,5 +1,5 @@
 # Acceptance check for the flight recorder: the timeline is a pure
-# observer.  With --timeline on, serial == thread pool == two LPT shards
+# observer.  With --timeline on, serial == thread pool == two shards
 # merged, bitwise; the timelines pass the strict schema gate (which must
 # reject a corrupted feed, naming the timeline path), render and export;
 # and `sweep_report strip timeline` reduces every timeline-on sweep —
@@ -13,10 +13,11 @@ run_tool(${SWEEP} run ${SPEC} --out off.json --workers 1)
 run_tool(${SWEEP} run ${SPEC} --out on_serial.json --workers 1 --timeline)
 run_tool(${SWEEP} run ${SPEC} --out on_pool.json --workers 4 --timeline)
 foreach(i RANGE 1 2)
-  run_tool(${SWEEP} run ${SPEC} --out shard${i}.json
-    --shard ${i}/2 --strategy lpt --timeline)
+  run_tool(${SWEEP} run ${SPEC} --out shard${i}.journal.jsonl
+    --shard ${i}/2 --timeline)
 endforeach()
-run_tool(${SWEEP} merge --out on_merged.json shard1.json shard2.json)
+run_tool(${SWEEP} merge --out on_merged.json
+  shard1.journal.jsonl shard2.journal.jsonl)
 require_same(on_pool.json on_serial.json
   "timeline-on thread-pool sweep vs serial sweep")
 require_same(on_merged.json on_serial.json

@@ -5,14 +5,14 @@
 // same validation the runner applies, and the printed fingerprint is the
 // exact content address `sweep run/merge` will stamp on results.
 //
-//   spec_lint FILE              summary: cells, cost, strategy, fingerprint
+//   spec_lint FILE              summary: cells, cost, fingerprint
 //   spec_lint FILE --expand     per-cell table of the expanded grid
-//   spec_lint FILE --shards N   shard plan preview under the spec's strategy
+//   spec_lint FILE --shards N   the LPT cut `sweep run --shard I/N` runs
 //   spec_lint FILE --wall-clock [--threads T]
 //                               wall-clock estimate: per-cell estimated_cost
 //                               (Cubic-equivalent seconds) packed onto T
 //                               threads (default: all cores) by the same
-//                               greedy LPT rule the shard planner uses, the
+//                               greedy LPT rule the shard cut uses, the
 //                               resulting makespan divided by a rate
 //                               MEASURED here by timing one short Cubic
 //                               cell — so one dominant cell shows up as the
@@ -33,7 +33,6 @@
 #include <vector>
 
 #include "spec/grid.h"
-#include "spec/plan.h"
 #include "util/table.h"
 
 namespace {
@@ -159,7 +158,6 @@ int main(int argc, char** argv) {
             << "cells:       " << experiment.sweep.cells.size() << "\n"
             << "est. cost:   " << format_double(total_cost, 0)
             << " Cubic-equivalent seconds\n"
-            << "strategy:    " << spec::to_string(experiment.strategy) << "\n"
             << "base seed:   "
             << (experiment.sweep.base_seed.has_value()
                     ? std::to_string(*experiment.sweep.base_seed)
@@ -217,9 +215,11 @@ int main(int argc, char** argv) {
   if (shards > 0) {
     std::cout << "\n";
     TableWriter t({"Shard", "Cells", "Est. cost"});
+    const std::vector<std::vector<std::size_t>> cut =
+        lpt_partition(experiment.sweep.cells, shards);
     for (int s = 0; s < shards; ++s) {
-      const std::vector<std::size_t> indices = spec::plan_shard_indices(
-          experiment.sweep, experiment.strategy, s, shards);
+      const std::vector<std::size_t>& indices =
+          cut[static_cast<std::size_t>(s)];
       double cost = 0.0;
       std::string cells;
       for (const std::size_t i : indices) {

@@ -6,32 +6,35 @@
 // produces the same bytes:
 //
 //     serial == thread pool == N shard processes, merged
-//            == orchestrated (killed + resumed), exported, merged
+//            == orchestrated (killed + resumed), merged
 //
 // and the cmake/*_roundtrip.cmake ctests (label `roundtrip`) diff exactly
 // that.
 //
-//   sweep list   --spec FILE | SHARD.json...
+//   sweep list   --spec specs/coexistence_smoke.json
 //   sweep run    --spec specs/coexistence_smoke.json --out full.json
-//   sweep run    --spec specs/coexistence_smoke.json --shard 1/3 --out s1.json
-//   sweep run    --spec specs/coexistence_smoke.json --cells 0,2 --out s.json
-//   sweep merge  --spec specs/coexistence_smoke.json --out merged.json s*.json
+//   sweep run    --spec specs/coexistence_smoke.json --shard 1/3
+//                --out s1.journal.jsonl
+//   sweep run    --spec specs/coexistence_smoke.json --cells 0,2
+//                --out s.journal.jsonl
+//   sweep merge  --spec specs/coexistence_smoke.json --out merged.json
+//                s*.journal.jsonl
 //   sweep run    --spec specs/tower_smoke.json --journal-dir j/ --out s.json
 //   sweep status --spec specs/tower_smoke.json --journal-dir j/
-//   sweep export --spec specs/tower_smoke.json --journal-dir j/
-//                --out-prefix j/shard_
 //
 // `run` without --journal-dir runs in this process (run_sweep/run_shard),
-// optionally one static slice of the grid: --shard I/N cut by --strategy
-// round-robin|lpt (a spec file's plan.strategy is the default), or an
-// explicit --cells list.  `run --journal-dir DIR` runs under the
-// fault-tolerant orchestrator (runner/orchestrator.h): forked
-// work-stealing workers append every completed cell to a per-worker
-// journal, so re-running a killed command resumes from the last completed
-// cell.  Crashing cells are retried with doubling backoff (--max-attempts,
-// --retry-backoff) and then quarantined (--poison-report); --cell-timeout
-// reclaims hung workers.  `status` reports journal coverage; `export`
-// replays each journal into a shard file `merge` accepts.
+// optionally one static slice of the grid: --shard I/N (the grid's LPT
+// cut, runner/shard.h) or an explicit --cells list.  A slice is written as
+// a journal (runner/shard.h), the same file an orchestrator worker
+// appends to.  `run --journal-dir DIR` runs under the fault-tolerant
+// orchestrator (runner/orchestrator.h): forked work-stealing workers
+// append every completed cell to a per-worker journal, so re-running a
+// killed command resumes from the last completed cell — and a static
+// slice copied into DIR counts as done.  Crashing cells are retried with
+// doubling backoff (--max-attempts, --retry-backoff) and then quarantined
+// (--poison-report); --cell-timeout reclaims hung workers.  `merge` reads
+// any set of journals of one grid, static or orchestrated; `status`
+// reports journal coverage.
 //
 // --workers N counts threads in-process and forked workers when
 // orchestrated; leaving it out uses all cores.  --timeline flight-records
@@ -51,31 +54,28 @@
 #include <iostream>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "cli_io.h"
 #include "runner/orchestrator.h"
 #include "spec/grid.h"
-#include "spec/plan.h"
 #include "util/table.h"
 
 namespace {
 
 using namespace sprout;
 using cli::UsageError;
-using cli::read_file;
 using cli::write_file;
 
-// Where the grid comes from and how it is cut.
+// Where the grid comes from.
 struct GridSource {
   std::string spec_path;  // --spec
   bool timeline = false;  // --timeline: flight-record every cell
-  std::optional<spec::PartitionStrategy> strategy;  // --strategy
 };
 
 struct ResolvedGrid {
   std::string label;  // spec name or path, for messages
-  spec::PartitionStrategy strategy = spec::PartitionStrategy::kRoundRobin;
   SweepSpec sweep;
 };
 
@@ -84,11 +84,9 @@ ResolvedGrid resolve_grid(const GridSource& source) {
       spec::parse_experiment_file(source.spec_path);
   ResolvedGrid grid;
   grid.label = experiment.name.empty() ? source.spec_path : experiment.name;
-  grid.strategy = experiment.strategy;
   grid.sweep = std::move(experiment.sweep);
-  if (source.strategy.has_value()) grid.strategy = *source.strategy;
-  // record_timeline is excluded from scenario fingerprints, so shards and
-  // journals written with and without --timeline cut the same grid.
+  // record_timeline is excluded from scenario fingerprints, so journals
+  // written with and without --timeline cut the same grid.
   if (source.timeline) {
     for (ScenarioSpec& cell : grid.sweep.cells) cell.record_timeline = true;
   }
@@ -98,10 +96,9 @@ ResolvedGrid resolve_grid(const GridSource& source) {
 int usage() {
   std::cerr <<
       "usage:\n"
-      "  sweep list   --spec FILE | SHARD.json...\n"
+      "  sweep list   --spec FILE\n"
       "  sweep run    GRID --out PATH [--workers N] [--timeline]\n"
-      "               [--shard I/N [--strategy round-robin|lpt] |"
-      " --cells A,B,C]\n"
+      "               [--shard I/N | --cells A,B,C]\n"
       "  sweep run    GRID --out PATH --journal-dir DIR [--workers N]"
       " [--timeline]\n"
       "               [--max-attempts K] [--retry-backoff S]"
@@ -110,18 +107,16 @@ int usage() {
       " [--trace-out PATH]\n"
       "               [--halt-after N] [--crash-cell I[:N]]"
       " [--hang-cell I[:N]]\n"
-      "  sweep merge  --out PATH [GRID] SHARD.json...\n"
-      "  sweep status GRID --journal-dir DIR\n"
-      "  sweep export GRID --journal-dir DIR --out-prefix P\n"
-      "GRID is --spec FILE, a JSON experiment spec\n"
+      "  sweep merge  --out PATH [GRID] JOURNAL...\n"
+      "  sweep status GRID [--journal-dir DIR] [JOURNAL...]\n"
+      "GRID is --spec FILE, a JSON experiment spec; --shard and --cells"
+      " write a journal\n"
       "exit codes: 0 complete, 1 error, 2 usage, 3 poisoned, 4 halted\n";
   return 2;
 }
 
-// "I/N" (1-based shard number) -> 0-based indices of that shard's cells,
-// cut by the resolved strategy.
-std::vector<std::size_t> parse_shard(const std::string& arg,
-                                     const ResolvedGrid& grid) {
+// "I/N" (1-based shard number) -> {I, N}.
+std::pair<int, int> parse_shard(const std::string& arg) {
   const std::size_t slash = arg.find('/');
   if (slash == std::string::npos) {
     throw UsageError("--shard: wants I/N, got \"" + arg + "\"");
@@ -135,8 +130,7 @@ std::vector<std::size_t> parse_shard(const std::string& arg,
                      std::to_string(count) + " does not exist (I must be in "
                      "1.." + std::to_string(count) + ")");
   }
-  return spec::plan_shard_indices(grid.sweep, grid.strategy, number - 1,
-                                  count);
+  return {number, count};
 }
 
 // "A,B,C" -> 0-based cell indices, each inside the grid and listed once.
@@ -183,50 +177,24 @@ std::pair<std::size_t, int> parse_fault(const std::string& flag,
   return {static_cast<std::size_t>(index), n};
 }
 
-ShardResult read_shard_file(const std::string& path) {
-  try {
-    return read_shard_json(read_file(path));
-  } catch (const std::exception& e) {
-    throw std::runtime_error(path + ": " + e.what());
-  }
-}
-
-int cmd_list(const GridSource& source,
-             const std::vector<std::string>& shard_paths) {
-  if (!shard_paths.empty()) {
-    // Shard-file inspection: which strategy cut each file, what it covers.
-    TableWriter t({"Shard file", "Partition", "Cells", "Of", "Fingerprint"});
-    for (const std::string& path : shard_paths) {
-      const ShardResult shard = read_shard_file(path);
-      t.row()
-          .cell(path)
-          .cell(shard.partition.empty() ? "(unrecorded)" : shard.partition)
-          .cell(static_cast<std::int64_t>(shard.cell_indices.size()))
-          .cell(static_cast<std::int64_t>(shard.total_cells))
-          .cell(std::to_string(shard.sweep_fingerprint));
-    }
-    t.print(std::cout);
-    return 0;
-  }
-
+int cmd_list(const GridSource& source) {
   const ResolvedGrid grid = resolve_grid(source);
   double cost = 0.0;
   for (const ScenarioSpec& cell : grid.sweep.cells) {
     cost += estimated_cost(cell);
   }
-  TableWriter t({"Grid", "Cells", "Est. cost (Cubic-s)", "Strategy",
-                 "Fingerprint"});
+  TableWriter t({"Grid", "Cells", "Est. cost (Cubic-s)", "Fingerprint"});
   t.row()
       .cell(grid.label)
       .cell(static_cast<std::int64_t>(grid.sweep.cells.size()))
       .cell(cost, 0)
-      .cell(spec::to_string(grid.strategy))
       .cell(std::to_string(sweep_fingerprint(grid.sweep)));
   t.print(std::cout);
   return 0;
 }
 
-// In-process run: the whole grid, or one static slice of it.
+// In-process run: the whole grid as a sweep file, or one static slice of
+// it as a journal.
 int cmd_run(const GridSource& source, const std::string& shard_arg,
             const std::string& cells_arg, const std::string& out_path,
             int workers) {
@@ -239,16 +207,24 @@ int cmd_run(const GridSource& source, const std::string& shard_arg,
               << "\n";
     return 0;
   }
-  const std::vector<std::size_t> cells = !shard_arg.empty()
-                                             ? parse_shard(shard_arg, grid)
-                                             : parse_cells(cells_arg, grid);
-  ShardResult shard = run_shard(grid.sweep, cells, workers);
-  shard.partition =
-      !shard_arg.empty() ? spec::to_string(grid.strategy) : "explicit";
-  write_file(out_path, [&](std::ostream& os) { write_shard_json(os, shard); });
-  std::cout << "shard of " << shard.cell_indices.size() << "/"
-            << shard.total_cells << " cells (" << shard.partition << ") -> "
-            << out_path << "\n";
+  std::vector<std::size_t> cells;
+  int journal_id = 0;
+  if (!shard_arg.empty()) {
+    const auto [number, count] = parse_shard(shard_arg);
+    cells = lpt_partition(grid.sweep.cells, count)[number - 1];
+    journal_id = number - 1;
+  } else {
+    cells = parse_cells(cells_arg, grid);
+  }
+  const ShardResult shard = run_shard(grid.sweep, std::move(cells), workers);
+  write_file(out_path, [&](std::ostream& os) {
+    write_journal_header(os, grid.sweep, journal_id);
+    for (const JournalRecord& record : shard.records) {
+      write_journal_record(os, record);
+    }
+  });
+  std::cout << "shard of " << shard.records.size() << "/" << shard.total_cells
+            << " cells -> " << out_path << "\n";
   return 0;
 }
 
@@ -305,30 +281,37 @@ int cmd_orchestrate(const GridSource& source,
 }
 
 int cmd_merge(const GridSource& source, bool have_grid,
-              const std::vector<std::string>& shard_paths,
+              const std::vector<std::string>& journal_paths,
               const std::string& out_path) {
   std::vector<ShardResult> shards;
-  shards.reserve(shard_paths.size());
-  for (const std::string& path : shard_paths) {
-    shards.push_back(read_shard_file(path));
+  shards.reserve(journal_paths.size());
+  for (const std::string& path : journal_paths) {
+    // Strict read: merging a journal with a half-written tail would
+    // silently bless a damaged file — recover it with `run --journal-dir`.
+    shards.push_back(read_journal_file(path, /*allow_truncated_tail=*/false));
   }
-  const SweepResult merged = merge_shards(shards);
+  const SweepResult merged = merge_shards(std::move(shards));
   if (have_grid) verify_sweep_result(merged, resolve_grid(source).sweep);
   write_file(out_path,
              [&](std::ostream& os) { write_sweep_json(os, merged); });
-  std::cout << "merged " << shards.size() << " shards, " << merged.cells.size()
-            << " cells -> " << out_path << "\n";
+  std::cout << "merged " << journal_paths.size() << " journals, "
+            << merged.cells.size() << " cells -> " << out_path << "\n";
   return 0;
 }
 
-int cmd_status(const GridSource& source, const std::string& journal_dir) {
+// Coverage of the journals in `journal_dir` plus any named ones.
+int cmd_status(const GridSource& source, const std::string& journal_dir,
+               const std::vector<std::string>& journal_paths) {
   const ResolvedGrid grid = resolve_grid(source);
   const std::uint64_t fingerprint = sweep_fingerprint(grid.sweep);
   const std::size_t total = grid.sweep.cells.size();
+  std::vector<std::string> paths;
+  if (!journal_dir.empty()) paths = list_journal_files(journal_dir);
+  paths.insert(paths.end(), journal_paths.begin(), journal_paths.end());
   std::vector<bool> covered(total, false);
   TableWriter t({"Journal", "Cells", "Of", "Fingerprint", "State"});
-  for (const std::string& path : list_journal_files(journal_dir)) {
-    const JournalScan scan =
+  for (const std::string& path : paths) {
+    const ShardResult scan =
         read_journal_file(path, /*allow_truncated_tail=*/true);
     const bool foreign =
         scan.sweep_fingerprint != fingerprint || scan.total_cells != total;
@@ -357,33 +340,6 @@ int cmd_status(const GridSource& source, const std::string& journal_dir) {
   return 0;
 }
 
-int cmd_export(const GridSource& source, const std::string& journal_dir,
-               const std::string& prefix) {
-  const ResolvedGrid grid = resolve_grid(source);
-  const std::uint64_t fingerprint = sweep_fingerprint(grid.sweep);
-  std::size_t exported = 0;
-  for (const std::string& path : list_journal_files(journal_dir)) {
-    // Strict scan: exporting a journal with a half-written tail would
-    // silently bless a damaged file — recover via `run` first.
-    const JournalScan scan =
-        read_journal_file(path, /*allow_truncated_tail=*/false);
-    if (scan.sweep_fingerprint != fingerprint ||
-        scan.total_cells != grid.sweep.cells.size()) {
-      throw std::runtime_error(path + ": journal is not from this grid");
-    }
-    const ShardResult shard = shard_from_journal(scan);
-    const std::string out = prefix + std::to_string(scan.journal_id) + ".json";
-    write_file(out, [&](std::ostream& os) { write_shard_json(os, shard); });
-    std::cout << path << " -> " << out << " (" << shard.cell_indices.size()
-              << " cells)\n";
-    ++exported;
-  }
-  if (exported == 0) {
-    throw std::runtime_error("no journals found in " + journal_dir);
-  }
-  return 0;
-}
-
 // Flags that only the orchestrated path (run --journal-dir) reads.
 constexpr std::string_view kOrchestratorFlags[] = {
     "--max-attempts", "--retry-backoff", "--cell-timeout", "--poison-report",
@@ -401,7 +357,6 @@ int main(int argc, char** argv) {
   std::string shard_arg;
   std::string cells_arg;
   std::string out_path;
-  std::string out_prefix;
   std::string poison_path;
   std::string orchestrator_flag;  // first flag that needs --journal-dir
   std::vector<std::string> positional;
@@ -420,14 +375,6 @@ int main(int argc, char** argv) {
         orchestrator_flag = arg;
       }
       if (arg == "--spec") source.spec_path = value();
-      else if (arg == "--strategy") {
-        const std::string name = value();
-        source.strategy = spec::partition_from_name(name);
-        if (!source.strategy.has_value()) {
-          throw UsageError("--strategy: wants round-robin or lpt, got \"" +
-                           name + "\"");
-        }
-      }
       else if (arg == "--timeline") source.timeline = true;
       else if (arg == "--workers") {
         options.workers = cli::parse_int_at_least(arg, value(), 1);
@@ -436,7 +383,6 @@ int main(int argc, char** argv) {
       else if (arg == "--cells") cells_arg = value();
       else if (arg == "--out") out_path = value();
       else if (arg == "--journal-dir") options.journal_dir = value();
-      else if (arg == "--out-prefix") out_prefix = value();
       else if (arg == "--poison-report") poison_path = value();
       else if (arg == "--max-attempts") {
         options.max_attempts = cli::parse_int_at_least(arg, value(), 1);
@@ -481,8 +427,8 @@ int main(int argc, char** argv) {
     }
 
     if (command == "list") {
-      if (!have_grid && positional.empty()) return usage();
-      return cmd_list(source, positional);
+      if (!have_grid || !positional.empty()) return usage();
+      return cmd_list(source);
     }
     if (command == "run") {
       if (!have_grid || out_path.empty() || !positional.empty() ||
@@ -499,12 +445,8 @@ int main(int argc, char** argv) {
       return cmd_merge(source, have_grid, positional, out_path);
     }
     if (command == "status") {
-      if (!have_grid || !journaled) return usage();
-      return cmd_status(source, options.journal_dir);
-    }
-    if (command == "export") {
-      if (!have_grid || !journaled || out_prefix.empty()) return usage();
-      return cmd_export(source, options.journal_dir, out_prefix);
+      if (!have_grid || (!journaled && positional.empty())) return usage();
+      return cmd_status(source, options.journal_dir, positional);
     }
     return usage();
   } catch (const UsageError& e) {

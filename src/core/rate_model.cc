@@ -171,7 +171,8 @@ TransitionMatrix::TransitionMatrix(const SproutParams& params)
 
   // Each row must be a probability distribution.
   for (std::size_t i = 0; i < n_; ++i) {
-    double sum = std::accumulate(&m_[i * n_], &m_[(i + 1) * n_], 0.0);
+    const double* row = m_.data() + i * n_;
+    double sum = std::accumulate(row, row + n_, 0.0);
     assert(std::abs(sum - 1.0) < 1e-9);
     for (std::size_t j = 0; j < n_; ++j) m_[i * n_ + j] /= sum;
   }

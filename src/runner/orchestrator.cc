@@ -30,32 +30,9 @@ namespace {
 namespace fs = std::filesystem;
 using Clock = std::chrono::steady_clock;
 
-constexpr const char* kJournalSchema = "sprout-journal-v1";
 // Worker exit codes with a fixed meaning (anything else is "crashed").
 constexpr int kWorkerCrashExit = 70;    // fault-injection crash hook
 constexpr int kWorkerJournalExit = 71;  // could not open/append its journal
-
-std::uint64_t parse_u64(const std::string& s, const std::string& label) {
-  if (s.empty() || s.find_first_not_of("0123456789") != std::string::npos) {
-    throw std::runtime_error(label + ": malformed unsigned integer \"" + s +
-                             "\"");
-  }
-  try {
-    return std::stoull(s);
-  } catch (const std::out_of_range&) {
-    throw std::runtime_error(label + ": unsigned integer overflow in \"" + s +
-                             "\"");
-  }
-}
-
-std::size_t parse_size(const JsonValue& v, const std::string& label) {
-  const double d = v.as_number();
-  const auto i = static_cast<std::int64_t>(d);
-  if (static_cast<double>(i) != d || i < 0) {
-    throw std::runtime_error(label + ": expected a non-negative integer");
-  }
-  return static_cast<std::size_t>(i);
-}
 
 // Matches a fault-injection entry: n attempts affected, n < 0 = always.
 bool fault_matches(const std::vector<std::pair<std::size_t, int>>& table,
@@ -155,11 +132,8 @@ std::string one_line(std::string msg) {
       // One-cell shard: the exact seed derivation and execution path of a
       // static shard, so orchestrated == sharded == serial, bit for bit.
       const Clock::time_point cell_start = Clock::now();
-      ShardResult one = run_shard(spec, {index}, /*threads=*/1);
-      JournalRecord record;
-      record.index = index;
-      record.fingerprint = one.cell_fingerprints.at(0);
-      record.result = std::move(one.cells.at(0));
+      JournalRecord record =
+          std::move(run_shard(spec, {index}, /*threads=*/1).records.at(0));
       if (stamp_runtime) {
         // Execution telemetry, stamped before journaling so the record —
         // and every merge of it — carries the numbers.  Gated by
@@ -298,14 +272,7 @@ class Coordinator {
     for (std::size_t i = 0; i < total_; ++i) {
       if (!completed_[i]) todo.push_back(i);
     }
-    // Longest-first work queue: descending estimated_cost, ties by index,
-    // so dispatch order is a pure function of the spec.
-    std::stable_sort(todo.begin(), todo.end(),
-                     [&](std::size_t a, std::size_t b) {
-                       return estimated_cost(spec_.cells[a]) >
-                              estimated_cost(spec_.cells[b]);
-                     });
-    pending_.assign(todo.begin(), todo.end());
+    pending_ = longest_first_order(spec_.cells, std::move(todo));
 
     if (!pending_.empty()) {
       ScopedSigpipeIgnore ignore_sigpipe;
@@ -376,7 +343,8 @@ class Coordinator {
 
   void resume_from_journals() {
     for (const std::string& path : list_journal_files(options_.journal_dir)) {
-      JournalScan scan = read_journal_file(path, /*allow_truncated_tail=*/true);
+      const ShardResult scan =
+          read_journal_file(path, /*allow_truncated_tail=*/true);
       if (scan.sweep_fingerprint != fingerprint_ ||
           scan.total_cells != total_) {
         throw std::runtime_error(
@@ -646,7 +614,8 @@ class Coordinator {
         options_.journal_dir + "/" + journal_file_name(w.slot);
     std::error_code ec;
     if (fs::exists(path, ec)) {
-      JournalScan scan = read_journal_file(path, /*allow_truncated_tail=*/true);
+      const ShardResult scan =
+          read_journal_file(path, /*allow_truncated_tail=*/true);
       if (scan.dropped_bytes > 0) {
         const auto size = fs::file_size(path, ec);
         if (!ec && size >= scan.dropped_bytes) {
@@ -801,8 +770,7 @@ class Coordinator {
          list_journal_files(options_.journal_dir)) {
       // Strict scan: after a healthy run (and tail truncation on resume)
       // every journal must replay cleanly, or the merge refuses.
-      shards.push_back(shard_from_journal(
-          read_journal_file(path, /*allow_truncated_tail=*/false)));
+      shards.push_back(read_journal_file(path, /*allow_truncated_tail=*/false));
     }
     if (shards.empty()) {
       // An empty grid orchestrates to an empty sweep.
@@ -810,7 +778,7 @@ class Coordinator {
       empty.fingerprint = fingerprint_;
       return empty;
     }
-    SweepResult merged = merge_shards(shards);
+    SweepResult merged = merge_shards(std::move(shards));
     verify_sweep_result(merged, spec_);
     return merged;
   }
@@ -937,164 +905,6 @@ OrchestrateOutcome orchestrate_sweep(const SweepSpec& spec,
                                      const OrchestratorOptions& options) {
   Coordinator coordinator(spec, options);
   return coordinator.run();
-}
-
-// --- journal IO ----------------------------------------------------------
-
-std::string journal_file_name(int journal_id) {
-  return "shard_" + std::to_string(journal_id) + ".journal.jsonl";
-}
-
-std::vector<std::string> list_journal_files(const std::string& dir) {
-  std::vector<std::pair<long, std::string>> found;
-  std::error_code ec;
-  for (const auto& entry : fs::directory_iterator(dir, ec)) {
-    const std::string name = entry.path().filename().string();
-    constexpr std::string_view kPrefix = "shard_";
-    constexpr std::string_view kSuffix = ".journal.jsonl";
-    if (name.size() <= kPrefix.size() + kSuffix.size()) continue;
-    if (name.rfind(kPrefix, 0) != 0) continue;
-    if (name.compare(name.size() - kSuffix.size(), kSuffix.size(), kSuffix) !=
-        0) {
-      continue;
-    }
-    const std::string id =
-        name.substr(kPrefix.size(), name.size() - kPrefix.size() -
-                                        kSuffix.size());
-    if (id.empty() || id.find_first_not_of("0123456789") != std::string::npos) {
-      continue;
-    }
-    found.emplace_back(std::stol(id), entry.path().string());
-  }
-  std::sort(found.begin(), found.end());
-  std::vector<std::string> paths;
-  paths.reserve(found.size());
-  for (auto& [id, path] : found) paths.push_back(std::move(path));
-  return paths;
-}
-
-void write_journal_header(std::ostream& os, const SweepSpec& spec,
-                          int journal_id) {
-  os << "{\"schema\": \"" << kJournalSchema << "\", \"sweep_fingerprint\": \""
-     << sweep_fingerprint(spec) << "\", \"total_cells\": " << spec.cells.size()
-     << ", \"journal\": " << journal_id << "}\n";
-}
-
-void write_journal_record(std::ostream& os, const JournalRecord& record) {
-  os << "{\"index\": " << record.index << ", \"fingerprint\": \""
-     << record.fingerprint << "\", \"result\": ";
-  write_scenario_result_json(os, record.result);
-  os << "}\n";
-}
-
-JournalScan read_journal(std::string_view text, const std::string& label,
-                         bool allow_truncated_tail) {
-  JournalScan scan;
-  bool have_header = false;
-  std::vector<bool> seen;
-  std::size_t line_no = 0;
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    const std::size_t nl = text.find('\n', pos);
-    if (nl == std::string_view::npos) {
-      // Unterminated tail: the one wound an append-only journal can take
-      // from kill -9 — recoverable on resume, fatal on strict replay.
-      const std::size_t dropped = text.size() - pos;
-      if (!allow_truncated_tail) {
-        throw std::runtime_error(
-            label + ": truncated final record (" + std::to_string(dropped) +
-            " bytes cut mid-write); re-run the orchestrator to recover");
-      }
-      scan.dropped_bytes = dropped;
-      break;
-    }
-    const std::string_view line = text.substr(pos, nl - pos);
-    pos = nl + 1;
-    ++line_no;
-    if (line.empty()) continue;
-
-    JsonValue doc;
-    try {
-      doc = JsonValue::parse(line);
-    } catch (const std::exception& e) {
-      throw std::runtime_error(label + ": line " + std::to_string(line_no) +
-                               ": corrupt journal record: " + e.what());
-    }
-    if (!have_header) {
-      const std::string where = label + ": line " + std::to_string(line_no);
-      const std::string& schema = doc.at("schema").as_string();
-      if (schema != kJournalSchema) {
-        throw std::runtime_error(where + ": journal schema \"" + schema +
-                                 "\", expected \"" + kJournalSchema + "\"");
-      }
-      scan.sweep_fingerprint =
-          parse_u64(doc.at("sweep_fingerprint").as_string(), where);
-      scan.total_cells = parse_size(doc.at("total_cells"), where);
-      scan.journal_id =
-          static_cast<int>(parse_size(doc.at("journal"), where));
-      seen.assign(scan.total_cells, false);
-      have_header = true;
-      continue;
-    }
-
-    const std::string where = label + ": line " + std::to_string(line_no);
-    JournalRecord record;
-    record.index = parse_size(doc.at("index"), where);
-    record.fingerprint = parse_u64(doc.at("fingerprint").as_string(), where);
-    if (record.index >= scan.total_cells) {
-      throw std::runtime_error(where + ": cell index " +
-                               std::to_string(record.index) +
-                               " outside the " +
-                               std::to_string(scan.total_cells) +
-                               "-cell grid");
-    }
-    if (seen[record.index]) {
-      throw std::runtime_error(where + ": cell " +
-                               std::to_string(record.index) +
-                               " journaled twice");
-    }
-    seen[record.index] = true;
-    record.result = scenario_result_from_json(doc.at("result"));
-    scan.records.push_back(std::move(record));
-  }
-  if (!have_header) {
-    throw std::runtime_error(label + ": missing journal header");
-  }
-  return scan;
-}
-
-JournalScan read_journal_file(const std::string& path,
-                              bool allow_truncated_tail) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("cannot read " + path);
-  std::ostringstream os;
-  os << in.rdbuf();
-  return read_journal(os.str(), path, allow_truncated_tail);
-}
-
-ShardResult shard_from_journal(const JournalScan& scan) {
-  std::vector<const JournalRecord*> ordered;
-  ordered.reserve(scan.records.size());
-  for (const JournalRecord& record : scan.records) {
-    ordered.push_back(&record);
-  }
-  std::sort(ordered.begin(), ordered.end(),
-            [](const JournalRecord* a, const JournalRecord* b) {
-              return a->index < b->index;
-            });
-  ShardResult shard;
-  shard.sweep_fingerprint = scan.sweep_fingerprint;
-  shard.total_cells = scan.total_cells;
-  shard.partition = "orchestrated";
-  shard.cell_indices.reserve(ordered.size());
-  shard.cell_fingerprints.reserve(ordered.size());
-  shard.cells.reserve(ordered.size());
-  for (const JournalRecord* record : ordered) {
-    shard.cell_indices.push_back(record->index);
-    shard.cell_fingerprints.push_back(record->fingerprint);
-    shard.cells.push_back(record->result);
-  }
-  return shard;
 }
 
 }  // namespace sprout

@@ -3,31 +3,30 @@
 // to an append-only journal so nothing is ever computed twice.
 //
 // `sweep run --shard` (runner/shard.h) distributes a grid by cutting it into
-// static slices up front; a worker that dies takes its whole slice's
-// progress with it, and a killed job recomputes everything on restart.
-// The orchestrator closes both holes:
+// static slices up front; a process that dies takes its whole slice's
+// progress with it.  The orchestrator closes that hole:
 //
 //   * Work-stealing dispatch.  Pending cells sit in one longest-first
-//     queue (descending estimated_cost, ties by index); an idle worker
-//     steals the most expensive remaining cell.  On lumpy grids — a tower
-//     cell next to a pile of single-flow cells — this beats any static
-//     LPT cut, because no worker is ever idle while cells remain.
+//     queue (longest_first_order); an idle worker steals the most
+//     expensive remaining cell.  On lumpy grids — a tower cell next to a
+//     pile of single-flow cells — this beats any static LPT cut, because
+//     no worker is ever idle while cells remain.
 //   * Append-only journals.  Each worker slot streams completed cells as
-//     fingerprint-stamped records into `shard_<i>.journal.jsonl`.  A
-//     `kill -9` loses at most the record being written; restarting the
-//     same command scans the journals, truncates a half-written tail,
-//     and resumes from the last completed cell.
+//     fingerprint-stamped records into `shard_<i>.journal.jsonl`, the
+//     slice file of runner/shard.h.  A `kill -9` loses at most the record
+//     being written; restarting the same command scans the journals,
+//     truncates a half-written tail, and resumes from the last completed
+//     cell.  Any journal of the grid in the directory counts, including a
+//     static slice written by `sweep run --shard/--cells`.
 //   * Retry with backoff + a poison list.  A cell whose worker crashes is
 //     re-queued with doubling backoff; after `max_attempts` failures it
 //     is quarantined and reported instead of sinking the sweep or being
 //     re-queued forever.  A `cell_timeout_s` reclaims cells from hung
 //     workers the same way (SIGKILL, then the crash path).
 //
-// The invariant of PR 3 carries over, byte for byte: per-cell seeds are
-// content-derived, journal records reuse the exact per-cell result
-// serialization of shard files (write_scenario_result_json), and journal
-// replay reconstructs ShardResults the existing merge_shards path
-// accepts.  So
+// Every worker runs its cell through run_shard, so per-cell seeds and
+// result bytes are those of every other path, and the final merge is
+// merge_shards over the journals.  So
 //
 //     orchestrated (killed + resumed) == sharded merge == serial
 //
@@ -40,7 +39,6 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -125,60 +123,5 @@ struct OrchestrateOutcome {
 // unusable journals (foreign grid, duplicate coverage, corrupt records).
 [[nodiscard]] OrchestrateOutcome orchestrate_sweep(
     const SweepSpec& spec, const OrchestratorOptions& options);
-
-// --- journal files ------------------------------------------------------
-//
-// `shard_<id>.journal.jsonl`: line 1 is a header stamping the grid's
-// content address, every further line is one completed cell:
-//
-//   {"schema": "sprout-journal-v1", "sweep_fingerprint": "...",
-//    "total_cells": N, "journal": id}
-//   {"index": 3, "fingerprint": "...", "result": { ...exact shard
-//    per-cell result JSON... }}
-//
-// Records are append-only and self-delimiting (one line each), so the
-// only damage a kill can do is a truncated final line.
-
-struct JournalRecord {
-  std::size_t index = 0;
-  std::uint64_t fingerprint = 0;
-  ScenarioResult result;
-};
-
-struct JournalScan {
-  std::uint64_t sweep_fingerprint = 0;
-  std::size_t total_cells = 0;
-  int journal_id = 0;
-  std::vector<JournalRecord> records;
-  // Bytes of a half-written trailing record dropped by a recovery scan
-  // (always 0 in strict mode, which throws instead).
-  std::size_t dropped_bytes = 0;
-};
-
-// Parses one journal.  `label` prefixes error messages (usually the file
-// name).  With allow_truncated_tail, a final line cut mid-record — the
-// expected wound of a kill -9 — is dropped and counted in dropped_bytes;
-// without it (the strict replay/merge path) the same wound throws.  A
-// malformed line anywhere ELSE, a duplicate or out-of-range cell index,
-// or a missing/foreign header always throws std::runtime_error.
-[[nodiscard]] JournalScan read_journal(std::string_view text,
-                                       const std::string& label,
-                                       bool allow_truncated_tail);
-[[nodiscard]] JournalScan read_journal_file(const std::string& path,
-                                            bool allow_truncated_tail);
-
-// Replays a scan into the ShardResult shape merge_shards accepts
-// (partition = "orchestrated", cells sorted by grid index).
-[[nodiscard]] ShardResult shard_from_journal(const JournalScan& scan);
-
-// Journal paths in `dir` (shard_*.journal.jsonl), sorted by id; the name
-// for a given worker slot.
-[[nodiscard]] std::vector<std::string> list_journal_files(
-    const std::string& dir);
-[[nodiscard]] std::string journal_file_name(int journal_id);
-
-void write_journal_header(std::ostream& os, const SweepSpec& spec,
-                          int journal_id);
-void write_journal_record(std::ostream& os, const JournalRecord& record);
 
 }  // namespace sprout

@@ -378,8 +378,9 @@ struct ScenarioResult {
 //
 // Trace FILES are keyed by path alone: the cache assumes a file's
 // contents do not change during the cache's lifetime.  Rewriting a trace
-// file between runs requires a fresh ScenarioCache/SweepRunner (or a new
-// path), or the old contents will be silently reused.
+// file between runs requires a fresh ScenarioCache — every run_shard or
+// run_sweep call makes one — or a new path, or the old contents will be
+// silently reused.
 class ScenarioCache {
  public:
   // Returns the cached trace for `key`, building it with `build` on miss.
@@ -412,8 +413,8 @@ class ScenarioCache {
 // the summed scheme_cost_weight of the flows sharing the run (so a Sprout
 // cell correctly outweighs a Cubic cell of the same duration).  Not a
 // wall-clock prediction — just a stable ordering key, so a sweep can
-// schedule its longest cells first (sweep.h) and a shard planner can
-// balance uneven grids (spec/plan.h).
+// schedule its longest cells first (sweep.h) and the LPT cut can balance
+// uneven grids across shards (shard.h).
 [[nodiscard]] double estimated_cost(const ScenarioSpec& spec);
 
 // Runs one scenario.  With a cache, expensive per-run precomputation

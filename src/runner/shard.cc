@@ -1,11 +1,19 @@
 #include "runner/shard.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <exception>
+#include <filesystem>
+#include <fstream>
 #include <limits>
+#include <numeric>
 #include <ostream>
+#include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
+#include <utility>
 
 #include "util/table.h"
 
@@ -22,46 +30,9 @@ std::uint64_t sweep_fingerprint(const SweepSpec& spec) {
   return h;
 }
 
-std::vector<std::size_t> shard_cell_indices(std::size_t total_cells,
-                                            int shard_index, int shard_count) {
-  if (shard_count < 1) {
-    throw std::invalid_argument("shard count must be >= 1, got " +
-                                std::to_string(shard_count));
-  }
-  if (shard_index < 0 || shard_index >= shard_count) {
-    throw std::invalid_argument(
-        "shard index " + std::to_string(shard_index) + " outside [0, " +
-        std::to_string(shard_count) + ")");
-  }
-  std::vector<std::size_t> indices;
-  for (std::size_t i = static_cast<std::size_t>(shard_index); i < total_cells;
-       i += static_cast<std::size_t>(shard_count)) {
-    indices.push_back(i);
-  }
-  return indices;
-}
-
-SweepResult run_sweep(const SweepSpec& spec, int threads) {
-  SweepOptions options;
-  options.threads = threads;
-  options.base_seed = spec.base_seed;
-  SweepRunner runner(options);
-
-  SweepResult r;
-  r.fingerprint = sweep_fingerprint(spec);
-  r.cell_fingerprints.reserve(spec.cells.size());
-  for (const ScenarioSpec& cell : spec.cells) {
-    r.cell_fingerprints.push_back(scenario_fingerprint(cell));
-  }
-  r.cells = runner.run(spec.cells);
-  return r;
-}
-
 ShardResult run_shard(const SweepSpec& spec,
                       std::vector<std::size_t> cell_indices, int threads) {
   std::vector<bool> seen(spec.cells.size(), false);
-  std::vector<ScenarioSpec> slice;
-  slice.reserve(cell_indices.size());
   for (const std::size_t i : cell_indices) {
     if (i >= spec.cells.size()) {
       throw std::invalid_argument("shard cell index " + std::to_string(i) +
@@ -74,49 +45,104 @@ ShardResult run_shard(const SweepSpec& spec,
                                   " listed twice");
     }
     seen[i] = true;
-    slice.push_back(spec.cells[i]);
   }
-
-  SweepOptions options;
-  options.threads = threads;
-  options.base_seed = spec.base_seed;
-  SweepRunner runner(options);
+  std::sort(cell_indices.begin(), cell_indices.end());
 
   ShardResult shard;
   shard.sweep_fingerprint = sweep_fingerprint(spec);
   shard.total_cells = spec.cells.size();
-  shard.cell_fingerprints.reserve(slice.size());
-  for (const ScenarioSpec& cell : slice) {
-    shard.cell_fingerprints.push_back(scenario_fingerprint(cell));
+  shard.records.resize(cell_indices.size());
+  for (std::size_t k = 0; k < cell_indices.size(); ++k) {
+    shard.records[k].index = cell_indices[k];
+    shard.records[k].fingerprint =
+        scenario_fingerprint(spec.cells[cell_indices[k]]);
   }
-  shard.cells = runner.run(slice);
-  shard.cell_indices = std::move(cell_indices);
+  std::vector<std::exception_ptr> errors(cell_indices.size());
+
+  if (threads < 1) {
+    threads = static_cast<int>(std::thread::hardware_concurrency());
+  }
+  threads = std::max(1, std::min<int>(threads,
+                                      static_cast<int>(cell_indices.size())));
+
+  // Execution order cannot affect results (cells are independent and each
+  // lands in its own record), so longest-first is purely a wall-clock lever.
+  const std::vector<std::size_t> order =
+      longest_first_order(spec.cells, cell_indices);
+  ScenarioCache cache;
+  std::atomic<std::size_t> next{0};
+  const auto worker = [&] {
+    for (std::size_t k = next.fetch_add(1); k < order.size();
+         k = next.fetch_add(1)) {
+      const std::size_t i = order[k];
+      const auto at = static_cast<std::size_t>(
+          std::lower_bound(cell_indices.begin(), cell_indices.end(), i) -
+          cell_indices.begin());
+      try {
+        if (spec.base_seed.has_value()) {
+          ScenarioSpec cell = spec.cells[i];
+          cell.seed = derive_cell_seed(*spec.base_seed, spec.cells[i]);
+          shard.records[at].result = run_scenario(cell, &cache);
+        } else {
+          shard.records[at].result = run_scenario(spec.cells[i], &cache);
+        }
+      } catch (...) {
+        errors[at] = std::current_exception();
+      }
+    }
+  };
+  if (threads == 1) {
+    worker();
+  } else {
+    // jthreads join when the pool goes out of scope — before `errors` is
+    // read, and also when starting a later thread throws.
+    std::vector<std::jthread> pool;
+    pool.reserve(static_cast<std::size_t>(threads));
+    for (int t = 0; t < threads; ++t) pool.emplace_back(worker);
+  }
+  for (const std::exception_ptr& e : errors) {
+    if (e) std::rethrow_exception(e);
+  }
   return shard;
 }
 
-SweepResult merge_shards(const std::vector<ShardResult>& shards) {
+SweepResult run_sweep(const SweepSpec& spec, int threads) {
+  std::vector<std::size_t> all(spec.cells.size());
+  std::iota(all.begin(), all.end(), std::size_t{0});
+  std::vector<ShardResult> whole;
+  whole.push_back(run_shard(spec, std::move(all), threads));
+  return merge_shards(std::move(whole));
+}
+
+std::vector<std::vector<std::size_t>> lpt_partition(
+    const std::vector<ScenarioSpec>& cells, int shard_count) {
+  if (shard_count < 1) {
+    throw std::invalid_argument("shard count must be >= 1, got " +
+                                std::to_string(shard_count));
+  }
+  std::vector<std::vector<std::size_t>> buckets(
+      static_cast<std::size_t>(shard_count));
+  std::vector<double> loads(buckets.size(), 0.0);
+  std::vector<std::size_t> all(cells.size());
+  std::iota(all.begin(), all.end(), std::size_t{0});
+  for (const std::size_t i : longest_first_order(cells, std::move(all))) {
+    const auto lightest = static_cast<std::size_t>(
+        std::min_element(loads.begin(), loads.end()) - loads.begin());
+    buckets[lightest].push_back(i);
+    loads[lightest] += estimated_cost(cells[i]);
+  }
+  for (std::vector<std::size_t>& bucket : buckets) {
+    std::sort(bucket.begin(), bucket.end());
+  }
+  return buckets;
+}
+
+SweepResult merge_shards(std::vector<ShardResult> shards) {
   if (shards.empty()) {
     throw std::runtime_error("merge of zero shards");
   }
   const std::uint64_t fingerprint = shards.front().sweep_fingerprint;
   const std::size_t total = shards.front().total_cells;
-  // Shards cut from one grid by different partition strategies cannot
-  // form a clean partition (round-robin's shard 1/3 and LPT's shard 2/3
-  // overlap and orphan cells in data-dependent ways); reject the mix by
-  // its recorded strategies instead of surfacing a baffling
-  // collision/coverage error below.  Unrecorded partitions ("") are
-  // exempt: explicit --cells runs and pre-split shard files carry no
-  // strategy to disagree about.
-  const std::string* strategy = nullptr;
-  for (const ShardResult& s : shards) {
-    if (s.partition.empty() || s.partition == "explicit") continue;
-    if (strategy != nullptr && s.partition != *strategy) {
-      throw std::runtime_error(
-          "shards of one grid mix partition strategies (" + *strategy +
-          " vs " + s.partition + "): re-cut every shard with one strategy");
-    }
-    strategy = &s.partition;
-  }
   for (const ShardResult& s : shards) {
     if (s.sweep_fingerprint != fingerprint) {
       throw std::runtime_error(
@@ -130,15 +156,6 @@ SweepResult merge_shards(const std::vector<ShardResult>& shards) {
                                std::to_string(total) + " vs " +
                                std::to_string(s.total_cells) + ")");
     }
-    if (s.cell_indices.size() != s.cells.size() ||
-        s.cell_indices.size() != s.cell_fingerprints.size()) {
-      throw std::runtime_error("shard is internally inconsistent: " +
-                               std::to_string(s.cell_indices.size()) +
-                               " indices, " +
-                               std::to_string(s.cell_fingerprints.size()) +
-                               " fingerprints, " +
-                               std::to_string(s.cells.size()) + " results");
-    }
   }
 
   SweepResult merged;
@@ -146,9 +163,9 @@ SweepResult merge_shards(const std::vector<ShardResult>& shards) {
   merged.cell_fingerprints.resize(total);
   merged.cells.resize(total);
   std::vector<bool> covered(total, false);
-  for (const ShardResult& s : shards) {
-    for (std::size_t k = 0; k < s.cell_indices.size(); ++k) {
-      const std::size_t i = s.cell_indices[k];
+  for (ShardResult& s : shards) {
+    for (JournalRecord& record : s.records) {
+      const std::size_t i = record.index;
       if (i >= total) {
         throw std::runtime_error("shard covers cell " + std::to_string(i) +
                                  ", but the grid has only " +
@@ -159,8 +176,8 @@ SweepResult merge_shards(const std::vector<ShardResult>& shards) {
                                  " is covered by more than one shard");
       }
       covered[i] = true;
-      merged.cell_fingerprints[i] = s.cell_fingerprints[k];
-      merged.cells[i] = s.cells[k];
+      merged.cell_fingerprints[i] = record.fingerprint;
+      merged.cells[i] = std::move(record.result);
     }
   }
   for (std::size_t i = 0; i < total; ++i) {
@@ -200,8 +217,8 @@ void verify_sweep_result(const SweepResult& merged, const SweepSpec& spec) {
 
 namespace {
 
-constexpr const char* kShardSchema = "sprout-sweep-shard-v1";
 constexpr const char* kSweepSchema = "sprout-sweep-v1";
+constexpr const char* kJournalSchema = "sprout-journal-v1";
 
 // Doubles round-trip exactly (write_json_double).  JSON has no NaN/inf,
 // so non-finite values become tagged strings.
@@ -253,7 +270,7 @@ std::uint64_t read_u64(const JsonValue& v) {
 std::int64_t read_i64(const JsonValue& v) {
   constexpr double kExactLimit = 9007199254740992.0;  // 2^53
   const double d = v.as_number();
-  if (d > kExactLimit || d < -kExactLimit) {
+  if (!(std::fabs(d) <= kExactLimit)) {
     throw std::runtime_error(
         "JSON: integer counter exceeds the 2^53 exact range of a double");
   }
@@ -262,6 +279,13 @@ std::int64_t read_i64(const JsonValue& v) {
     throw std::runtime_error("JSON: expected an integer, got a fraction");
   }
   return i;
+}
+
+// Cell indices and cell totals.
+std::size_t read_size(const JsonValue& v) {
+  const std::int64_t i = read_i64(v);
+  if (i < 0) throw std::runtime_error("JSON: negative cell index or total");
+  return static_cast<std::size_t>(i);
 }
 
 // Flows and results still carry the "series" / "capacity_series" members
@@ -526,17 +550,11 @@ void write_cell(std::ostream& os, std::size_t index, std::uint64_t fingerprint,
   os << '}';
 }
 
-struct Cell {
-  std::size_t index;
-  std::uint64_t fingerprint;
-  ScenarioResult result;
-};
-
-Cell read_cell(const JsonValue& v) {
-  Cell c;
-  const std::int64_t index = read_i64(v.at("index"));
-  if (index < 0) throw std::runtime_error("JSON: negative cell index");
-  c.index = static_cast<std::size_t>(index);
+// One {"index", "fingerprint", "result"} cell, as sweep files and journal
+// records both spell it.
+JournalRecord read_cell(const JsonValue& v) {
+  JournalRecord c;
+  c.index = read_size(v.at("index"));
   c.fingerprint = read_u64(v.at("fingerprint"));
   c.result = read_result(v.at("result"));
   return c;
@@ -551,14 +569,6 @@ void check_schema(const JsonValue& doc, const char* expected) {
 }
 
 }  // namespace
-
-void write_scenario_result_json(std::ostream& os, const ScenarioResult& r) {
-  write_result(os, r);
-}
-
-ScenarioResult scenario_result_from_json(const JsonValue& v) {
-  return read_result(v);
-}
 
 std::size_t erase_result_field(std::string& text, std::string_view name) {
   if (name != "runtime" && name != "timeline") {
@@ -581,46 +591,6 @@ std::size_t erase_result_field(std::string& text, std::string_view name) {
   }
   (void)JsonValue::parse(text);  // the erase must leave valid JSON
   return erased;
-}
-
-void write_shard_json(std::ostream& os, const ShardResult& shard) {
-  os << "{\n  \"schema\": \"" << kShardSchema << "\",\n"
-     << "  \"sweep_fingerprint\": ";
-  json_u64(os, shard.sweep_fingerprint);
-  os << ",\n  \"total_cells\": " << shard.total_cells;
-  // Written only when recorded, so pre-split shard files and files from
-  // callers that never set a strategy stay byte-stable.
-  if (!shard.partition.empty()) {
-    os << ",\n  \"partition\": ";
-    write_json_string(os, shard.partition);
-  }
-  os << ",\n  \"cells\": [\n";
-  for (std::size_t k = 0; k < shard.cell_indices.size(); ++k) {
-    write_cell(os, shard.cell_indices[k], shard.cell_fingerprints[k],
-               shard.cells[k]);
-    os << (k + 1 < shard.cell_indices.size() ? ",\n" : "\n");
-  }
-  os << "  ]\n}\n";
-}
-
-ShardResult read_shard_json(std::string_view text) {
-  const JsonValue doc = JsonValue::parse(text);
-  check_schema(doc, kShardSchema);
-  ShardResult shard;
-  shard.sweep_fingerprint = read_u64(doc.at("sweep_fingerprint"));
-  const std::int64_t total = read_i64(doc.at("total_cells"));
-  if (total < 0) throw std::runtime_error("JSON: negative cell total");
-  shard.total_cells = static_cast<std::size_t>(total);
-  if (doc.has("partition")) {
-    shard.partition = doc.at("partition").as_string();
-  }
-  for (const JsonValue& v : doc.at("cells").as_array()) {
-    Cell c = read_cell(v);
-    shard.cell_indices.push_back(c.index);
-    shard.cell_fingerprints.push_back(c.fingerprint);
-    shard.cells.push_back(std::move(c.result));
-  }
-  return shard;
 }
 
 void write_sweep_json(std::ostream& os, const SweepResult& sweep) {
@@ -651,7 +621,7 @@ SweepResult read_sweep_json(std::string_view text) {
   sweep.cells.resize(cells.size());
   std::vector<bool> covered(cells.size(), false);
   for (const JsonValue& v : cells) {
-    Cell c = read_cell(v);
+    JournalRecord c = read_cell(v);
     if (c.index >= cells.size() || covered[c.index]) {
       throw std::runtime_error("JSON: sweep cell index " +
                                std::to_string(c.index) +
@@ -662,6 +632,126 @@ SweepResult read_sweep_json(std::string_view text) {
     sweep.cells[c.index] = std::move(c.result);
   }
   return sweep;
+}
+
+// --- journals -------------------------------------------------------------
+
+std::string journal_file_name(int journal_id) {
+  return "shard_" + std::to_string(journal_id) + ".journal.jsonl";
+}
+
+std::vector<std::string> list_journal_files(const std::string& dir) {
+  std::vector<std::pair<long, std::string>> found;
+  std::error_code ec;
+  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
+    const std::string name = entry.path().filename().string();
+    constexpr std::string_view kPrefix = "shard_";
+    constexpr std::string_view kSuffix = ".journal.jsonl";
+    if (name.size() <= kPrefix.size() + kSuffix.size()) continue;
+    if (name.rfind(kPrefix, 0) != 0) continue;
+    if (name.compare(name.size() - kSuffix.size(), kSuffix.size(), kSuffix) !=
+        0) {
+      continue;
+    }
+    const std::string id =
+        name.substr(kPrefix.size(), name.size() - kPrefix.size() -
+                                        kSuffix.size());
+    if (id.empty() || id.find_first_not_of("0123456789") != std::string::npos) {
+      continue;
+    }
+    found.emplace_back(std::stol(id), entry.path().string());
+  }
+  std::sort(found.begin(), found.end());
+  std::vector<std::string> paths;
+  paths.reserve(found.size());
+  for (auto& [id, path] : found) paths.push_back(std::move(path));
+  return paths;
+}
+
+void write_journal_header(std::ostream& os, const SweepSpec& spec,
+                          int journal_id) {
+  os << "{\"schema\": \"" << kJournalSchema << "\", \"sweep_fingerprint\": ";
+  json_u64(os, sweep_fingerprint(spec));
+  os << ", \"total_cells\": " << spec.cells.size()
+     << ", \"journal\": " << journal_id << "}\n";
+}
+
+void write_journal_record(std::ostream& os, const JournalRecord& record) {
+  os << "{\"index\": " << record.index << ", \"fingerprint\": ";
+  json_u64(os, record.fingerprint);
+  os << ", \"result\": ";
+  write_result(os, record.result);
+  os << "}\n";
+}
+
+ShardResult read_journal(std::string_view text, const std::string& label,
+                         bool allow_truncated_tail) {
+  ShardResult shard;
+  bool have_header = false;
+  std::vector<bool> seen;
+  std::size_t line_no = 0;
+  std::size_t pos = 0;
+  while (pos < text.size()) {
+    const std::size_t nl = text.find('\n', pos);
+    if (nl == std::string_view::npos) {
+      // Unterminated tail: the one wound an append-only journal can take
+      // from kill -9 — recoverable on resume, fatal on strict replay.
+      const std::size_t dropped = text.size() - pos;
+      if (!allow_truncated_tail) {
+        throw std::runtime_error(
+            label + ": truncated final record (" + std::to_string(dropped) +
+            " bytes cut mid-write); re-run the orchestrator to recover");
+      }
+      shard.dropped_bytes = dropped;
+      break;
+    }
+    const std::string_view line = text.substr(pos, nl - pos);
+    pos = nl + 1;
+    ++line_no;
+    if (line.empty()) continue;
+
+    try {
+      const JsonValue doc = JsonValue::parse(line);
+      if (!have_header) {
+        check_schema(doc, kJournalSchema);
+        shard.sweep_fingerprint = read_u64(doc.at("sweep_fingerprint"));
+        shard.total_cells = read_size(doc.at("total_cells"));
+        (void)read_size(doc.at("journal"));  // informational, but required
+        seen.assign(shard.total_cells, false);
+        have_header = true;
+        continue;
+      }
+      JournalRecord record = read_cell(doc);
+      if (record.index >= shard.total_cells) {
+        throw std::runtime_error("cell index " + std::to_string(record.index) +
+                                 " outside the " +
+                                 std::to_string(shard.total_cells) +
+                                 "-cell grid");
+      }
+      if (seen[record.index]) {
+        throw std::runtime_error("cell " + std::to_string(record.index) +
+                                 " journaled twice");
+      }
+      seen[record.index] = true;
+      shard.records.push_back(std::move(record));
+    } catch (const std::exception& e) {
+      throw std::runtime_error(label + ": line " + std::to_string(line_no) +
+                               ": " + e.what());
+    }
+  }
+  if (!have_header) {
+    throw std::runtime_error(label + ": missing journal header");
+  }
+  return shard;
+}
+
+ShardResult read_journal_file(const std::string& path,
+                              bool allow_truncated_tail) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) throw std::runtime_error("cannot read " + path);
+  std::ostringstream os;
+  os << in.rdbuf();
+  return read_journal(os.str(), path, allow_truncated_tail);
 }
 
 }  // namespace sprout

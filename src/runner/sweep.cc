@@ -1,10 +1,8 @@
 #include "runner/sweep.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstring>
-#include <exception>
-#include <thread>
+#include <utility>
 
 namespace sprout {
 
@@ -215,76 +213,16 @@ std::uint64_t derive_cell_seed(std::uint64_t base_seed,
 }
 
 std::vector<std::size_t> longest_first_order(
-    const std::vector<ScenarioSpec>& specs) {
-  std::vector<std::size_t> order(specs.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::vector<double> cost(specs.size());
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    cost[i] = estimated_cost(specs[i]);
+    const std::vector<ScenarioSpec>& cells, std::vector<std::size_t> indices) {
+  // Sorting (-cost, index) pairs ascending is descending cost, ties by index.
+  std::vector<std::pair<double, std::size_t>> keyed;
+  keyed.reserve(indices.size());
+  for (const std::size_t i : indices) {
+    keyed.emplace_back(-estimated_cost(cells[i]), i);
   }
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return cost[a] > cost[b];
-                   });
-  return order;
-}
-
-SweepRunner::SweepRunner(SweepOptions options) : options_(options) {}
-
-std::vector<ScenarioResult> SweepRunner::run(
-    const std::vector<ScenarioSpec>& specs) {
-  // Only reseeding needs a mutable copy (specs can carry large inline
-  // traces; don't duplicate them for nothing).
-  const std::vector<ScenarioSpec>* cells = &specs;
-  std::vector<ScenarioSpec> reseeded;
-  if (options_.base_seed.has_value()) {
-    reseeded = specs;
-    for (ScenarioSpec& spec : reseeded) {
-      spec.seed = derive_cell_seed(*options_.base_seed, spec);
-    }
-    cells = &reseeded;
-  }
-
-  std::vector<ScenarioResult> results(cells->size());
-  std::vector<std::exception_ptr> errors(cells->size());
-
-  int threads = options_.threads > 0
-                    ? options_.threads
-                    : static_cast<int>(std::thread::hardware_concurrency());
-  if (threads < 1) threads = 1;
-  threads = std::min<int>(threads, static_cast<int>(cells->size()));
-
-  // Longest-first dispatch: workers claim cells in descending estimated
-  // cost so an expensive cell never starts last and tail-blocks the pool.
-  // Execution order cannot affect results (cells are independent; results
-  // land at their input index), so this is purely a wall-clock lever.
-  const std::vector<std::size_t> order = longest_first_order(*cells);
-  std::atomic<std::size_t> next{0};
-  const auto worker = [&] {
-    for (std::size_t k = next.fetch_add(1); k < order.size();
-         k = next.fetch_add(1)) {
-      const std::size_t i = order[k];
-      try {
-        results[i] = run_scenario((*cells)[i], &cache_);
-      } catch (...) {
-        errors[i] = std::current_exception();
-      }
-    }
-  };
-
-  if (threads <= 1) {
-    worker();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(threads));
-    for (int t = 0; t < threads; ++t) pool.emplace_back(worker);
-    for (std::thread& t : pool) t.join();
-  }
-
-  for (const std::exception_ptr& e : errors) {
-    if (e) std::rethrow_exception(e);
-  }
-  return results;
+  std::sort(keyed.begin(), keyed.end());
+  for (std::size_t k = 0; k < keyed.size(); ++k) indices[k] = keyed[k].second;
+  return indices;
 }
 
 }  // namespace sprout

@@ -1,35 +1,24 @@
-// Deterministic parallel scenario sweeps.
+// Content addressing and dispatch order for grids of scenario cells.
 //
 // The paper's evaluation is a grid — schemes × links × loss rates ×
-// confidence levels × seeds — of *independent* simulations.  SweepRunner
-// executes such a grid on a thread pool and returns results in input
-// order, bit-identical to running the same specs serially: every cell
-// runs its own Simulator and RNGs, the only shared state is immutable
-// caches (resolved traces here, forecaster CDF tables in
-// core/forecaster.h), and nothing about a cell's execution depends on
-// which thread picks it up.
+// confidence levels × seeds — of *independent* simulations.  Every way of
+// running such a grid (runner/shard.h's thread pool, static slices, the
+// orchestrator's forked workers) builds on the three pieces here:
 //
-// Per-cell seeds can be derived from a sweep-level base seed.  Derivation
-// hashes the cell's CONTENT (scheme, link, topology, durations, ...), not
-// its position, so reordering or extending the spec list never changes
-// the seed — and therefore the result — any given cell gets.
+//   * scenario_fingerprint: a stable content hash of one cell;
+//   * derive_cell_seed: a per-cell seed derived from a sweep-level base
+//     seed and the cell's CONTENT (scheme, link, topology, durations, ...),
+//     not its position, so reordering or extending a grid never changes
+//     the seed — and therefore the result — any given cell gets;
+//   * longest_first_order: the order cells are handed to workers in.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "runner/scenario.h"
 
 namespace sprout {
-
-struct SweepOptions {
-  // Worker threads; 0 means std::thread::hardware_concurrency().
-  int threads = 0;
-  // When set, every cell's seed is replaced by
-  // derive_cell_seed(*base_seed, spec) before running.
-  std::optional<std::uint64_t> base_seed;
-};
 
 // The one FNV-1a mixing step every content fingerprint chains — the
 // cell fingerprint below and the grid fingerprint in shard.h both build
@@ -57,29 +46,13 @@ inline constexpr std::uint64_t kFnv1aOffsetBasis = 1469598103934665603ull;
 [[nodiscard]] std::uint64_t derive_cell_seed(std::uint64_t base_seed,
                                              const ScenarioSpec& spec);
 
-// Dispatch order for a grid: cell indices sorted by descending
-// estimated_cost (ties broken by input index, so the order is a pure
-// function of the specs).  Starting the longest cells first keeps a 300 s
-// cell from becoming the tail of the pool after all the 10 s cells have
-// drained; results are unaffected — cells are independent and results are
-// returned in input order regardless of execution order.
+// Dispatch order for cells `indices` of a grid: sorted by descending
+// estimated_cost, ties by index, so the order is a pure function of the
+// cells.  Starting the longest cells first keeps a 300 s cell from
+// becoming the tail of a pool after all the 10 s cells have drained;
+// results are unaffected — cells are independent and land at their own
+// index regardless of execution order.
 [[nodiscard]] std::vector<std::size_t> longest_first_order(
-    const std::vector<ScenarioSpec>& specs);
-
-class SweepRunner {
- public:
-  explicit SweepRunner(SweepOptions options = {});
-
-  // Runs every spec and returns results in input order.  Cells execute
-  // concurrently (up to `threads` at a time) but the returned vector is
-  // bit-identical to a serial run of the same specs.  If any cell throws,
-  // the first failure (in input order) is rethrown after all cells finish.
-  [[nodiscard]] std::vector<ScenarioResult> run(
-      const std::vector<ScenarioSpec>& specs);
-
- private:
-  SweepOptions options_;
-  ScenarioCache cache_;
-};
+    const std::vector<ScenarioSpec>& cells, std::vector<std::size_t> indices);
 
 }  // namespace sprout

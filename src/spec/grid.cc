@@ -177,8 +177,8 @@ ExperimentSpec parse_experiment_json(std::string_view text,
                                      const std::string& label) {
   const JsonValue doc_json = parse_spec_document(text, label);
   const Field doc(doc_json, "");
-  doc.allow_keys({"spec_version", "name", "base_seed", "plan", "cells",
-                  "base", "expand", "axes", "cell_overrides"});
+  doc.allow_keys({"spec_version", "name", "base_seed", "cells", "base",
+                  "expand", "axes", "cell_overrides"});
 
   const Field version = doc.at("spec_version");
   if (version.as_int() != kSpecVersion) {
@@ -190,18 +190,6 @@ ExperimentSpec parse_experiment_json(std::string_view text,
   ExperimentSpec spec;
   if (const auto f = doc.get("name")) spec.name = f->as_string();
   if (const auto f = doc.get("base_seed")) spec.sweep.base_seed = f->as_u64();
-  if (const auto plan = doc.get("plan")) {
-    plan->allow_keys({"strategy"});
-    if (const auto f = plan->get("strategy")) {
-      const std::optional<PartitionStrategy> strategy =
-          partition_from_name(f->as_string());
-      if (!strategy.has_value()) {
-        f->fail("unknown partition strategy \"" + f->as_string() +
-                "\" (expected \"round-robin\" or \"lpt\")");
-      }
-      spec.strategy = *strategy;
-    }
-  }
 
   // The expanded cell documents; kept alive until the scenarios are read
   // (Field borrows its JsonValue).
@@ -315,9 +303,7 @@ void write_experiment_json(std::ostream& os, const ExperimentSpec& spec) {
       os << '"' << *spec.sweep.base_seed << '"';
     }
   }
-  os << ",\n  \"plan\": {\"strategy\": ";
-  write_json_string(os, to_string(spec.strategy));
-  os << "},\n  \"cells\": [\n";
+  os << ",\n  \"cells\": [\n";
   for (std::size_t i = 0; i < spec.sweep.cells.size(); ++i) {
     os << "    ";
     write_scenario_json(os, spec.sweep.cells[i], 4);

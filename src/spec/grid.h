@@ -1,5 +1,5 @@
 // The declarative experiment document: one JSON file that defines a whole
-// sweep — scenarios, grid axes, shard plan — with no recompile.
+// sweep — scenarios and grid axes — with no recompile.
 //
 // Document shape (spec_version 1):
 //
@@ -8,7 +8,6 @@
 //     "name": "coexistence-smoke",
 //     "base_seed": 42,                      // optional; content-derived
 //                                           // per-cell seeds, as SweepSpec
-//     "plan": {"strategy": "lpt"},          // optional; default round-robin
 //
 //     // EITHER an explicit cell list...
 //     "cells": [ { ...scenario... }, ... ],
@@ -47,7 +46,7 @@
 #include <string>
 #include <string_view>
 
-#include "spec/plan.h"
+#include "runner/shard.h"
 #include "spec/scenario_io.h"
 
 namespace sprout::spec {
@@ -57,10 +56,9 @@ namespace sprout::spec {
 inline constexpr int kSpecVersion = 1;
 
 // A parsed, fully expanded experiment: the sweep the runner executes plus
-// the metadata the CLI frontends print and the shard planner consumes.
+// the name the CLI frontends print.
 struct ExperimentSpec {
   std::string name;
-  PartitionStrategy strategy = PartitionStrategy::kRoundRobin;
   SweepSpec sweep;  // expanded cells + base_seed
 };
 

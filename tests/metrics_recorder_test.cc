@@ -151,9 +151,14 @@ ScenarioSpec small_spec() {
   return s;
 }
 
+// `r` as a one-cell sweep file, whose "result" object is the per-cell JSON
+// every sweep file and journal record carries.
 std::string result_json(const ScenarioResult& r) {
+  SweepResult sweep;
+  sweep.cell_fingerprints = {0};
+  sweep.cells = {r};
   std::ostringstream os;
-  write_scenario_result_json(os, r);
+  write_sweep_json(os, sweep);
   return os.str();
 }
 
@@ -168,7 +173,7 @@ TEST(Recorder, TimelineSurvivesJsonRoundTripByteForByte) {
 
   const std::string a = result_json(r);
   EXPECT_NE(a.find("\"timeline\""), std::string::npos);
-  const ScenarioResult back = scenario_result_from_json(JsonValue::parse(a));
+  const ScenarioResult back = read_sweep_json(a).cells.at(0);
   ASSERT_EQ(back.flows.size(), r.flows.size());
   const FlowTimeline& t0 = r.flows[0].timeline;
   const FlowTimeline& t1 = back.flows[0].timeline;

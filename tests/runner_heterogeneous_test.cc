@@ -2,14 +2,14 @@
 // overrides and staggered activity windows commingled in ONE queue.
 // Covers spec validation, conservation invariants with unequal flows,
 // equivalence of the homogeneous forms, and bit-identical mixed-scheme
-// determinism under SweepRunner.
+// determinism under run_sweep's thread pool.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <stdexcept>
 
 #include "runner/scenario.h"
-#include "runner/sweep.h"
+#include "runner/shard.h"
 
 namespace sprout {
 namespace {
@@ -169,10 +169,9 @@ TEST(Heterogeneous, MixedSchemeSweepIsBitIdenticalSerialVsParallel) {
   specs.push_back(short_times(heterogeneous_scenario(
       {FlowSpec::of(SchemeId::kSprout), late}, verizon())));
 
-  SweepRunner serial(SweepOptions{.threads = 1});
-  SweepRunner parallel(SweepOptions{.threads = 8});
-  const std::vector<ScenarioResult> a = serial.run(specs);
-  const std::vector<ScenarioResult> b = parallel.run(specs);
+  const SweepSpec grid{specs, std::nullopt};
+  const std::vector<ScenarioResult> a = run_sweep(grid, /*threads=*/1).cells;
+  const std::vector<ScenarioResult> b = run_sweep(grid, /*threads=*/8).cells;
   ASSERT_EQ(a.size(), specs.size());
   for (std::size_t i = 0; i < specs.size(); ++i) {
     SCOPED_TRACE(i);

@@ -63,18 +63,16 @@ OrchestratorOptions quiet_options(const std::string& dir) {
   return options;
 }
 
-// The complete journal text a finished single-slot run would leave.
-std::string journal_text(const SweepSpec& grid) {
-  const ShardResult shard =
-      run_shard(grid, {0, 1, 2}, /*threads=*/1);
+// The complete journal text a finished single-slot run would leave, its
+// records in `order` (a work-stealing worker finishes cells out of index
+// order).
+std::string journal_text(const SweepSpec& grid,
+                         const std::vector<std::size_t>& order = {0, 1, 2}) {
+  const ShardResult shard = run_shard(grid, order, /*threads=*/1);
   std::ostringstream os;
   write_journal_header(os, grid, 0);
-  for (std::size_t k = 0; k < shard.cell_indices.size(); ++k) {
-    JournalRecord record;
-    record.index = shard.cell_indices[k];
-    record.fingerprint = shard.cell_fingerprints[k];
-    record.result = shard.cells[k];
-    write_journal_record(os, record);
+  for (const std::size_t i : order) {
+    write_journal_record(os, shard.records.at(i));
   }
   return os.str();
 }
@@ -242,17 +240,16 @@ TEST(Orchestrator, RejectsBadOptions) {
 
 TEST(OrchestratorJournal, RoundTripsAndReplaysInGridOrder) {
   const SweepSpec grid = tiny_grid();
-  const std::string text = journal_text(grid);
-  const JournalScan scan =
+  const std::string text = journal_text(grid, {2, 0, 1});
+  const ShardResult scan =
       read_journal(text, "j", /*allow_truncated_tail=*/false);
   EXPECT_EQ(scan.sweep_fingerprint, sweep_fingerprint(grid));
   EXPECT_EQ(scan.total_cells, 3u);
-  EXPECT_EQ(scan.records.size(), 3u);
+  ASSERT_EQ(scan.records.size(), 3u);
+  EXPECT_EQ(scan.records.front().index, 2u);  // file order, as journaled
   EXPECT_EQ(scan.dropped_bytes, 0u);
 
-  const ShardResult shard = shard_from_journal(scan);
-  EXPECT_EQ(shard.partition, "orchestrated");
-  const SweepResult merged = merge_shards({shard});
+  const SweepResult merged = merge_shards({scan});
   verify_sweep_result(merged, grid);
   EXPECT_EQ(sweep_bytes(merged), sweep_bytes(run_sweep(grid)));
 }
@@ -270,7 +267,7 @@ TEST(OrchestratorJournal, TruncatedFinalRecordIsStrictErrorButRecoverable) {
               std::string::npos)
         << e.what();
   }
-  const JournalScan recovered =
+  const ShardResult recovered =
       read_journal(cut, "j", /*allow_truncated_tail=*/true);
   EXPECT_EQ(recovered.records.size(), 2u);
   EXPECT_GT(recovered.dropped_bytes, 0u);
@@ -289,6 +286,33 @@ TEST(OrchestratorJournal, CorruptMidFileRecordIsAlwaysFatal) {
                std::runtime_error);
   EXPECT_THROW((void)read_journal(text, "j", /*allow_truncated_tail=*/true),
                std::runtime_error);
+
+  // Well-formed JSON carrying an out-of-range integer is corrupt too: every
+  // journal integer is read bounded, and the error names the line.
+  const std::string good = journal_text(grid);
+  const auto expect_line_error = [](const std::string& bad,
+                                    const std::string& where) {
+    for (const bool tolerant : {false, true}) {
+      try {
+        (void)read_journal(bad, "j", tolerant);
+        ADD_FAILURE() << "accepted:\n" << bad.substr(0, 200);
+      } catch (const std::runtime_error& e) {
+        EXPECT_NE(std::string(e.what()).find(where), std::string::npos)
+            << e.what();
+      }
+    }
+  };
+  for (const std::string index : {"1e30", "1e400", "-1", "2.5"}) {
+    std::string bad = good;
+    const std::string from = "{\"index\": 0,";
+    bad.replace(bad.find(from), from.size(), "{\"index\": " + index + ",");
+    expect_line_error(bad, "j: line 2: ");
+  }
+  std::string bad_total = good;
+  const std::string from = "\"total_cells\": 3";
+  bad_total.replace(bad_total.find(from), from.size(),
+                    "\"total_cells\": 1e30");
+  expect_line_error(bad_total, "j: line 1: ");
 }
 
 TEST(OrchestratorJournal, DuplicateCellRecordInOneJournalIsRejected) {

@@ -1,13 +1,14 @@
 // The sharded sweep subsystem's spine: serial == thread pool == N merged
 // shards, bit for bit — plus the failure modes that keep a merge honest
-// (overlap, gaps, foreign shards, corrupt files) and the longest-first
-// scheduling order.
+// (overlap, gaps, foreign shards, corrupt journals), the LPT cut and the
+// longest-first scheduling order.
 #include "runner/shard.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
+#include <numeric>
 #include <sstream>
 
 #include "runner/scenario.h"
@@ -100,6 +101,16 @@ SweepSpec mixed_grid() {
   return sweep;
 }
 
+// A slice as `sweep run --shard` writes it: journal header, then records.
+std::string journal_of(const SweepSpec& grid, const ShardResult& shard) {
+  std::ostringstream os;
+  write_journal_header(os, grid, /*journal_id=*/0);
+  for (const JournalRecord& record : shard.records) {
+    write_journal_record(os, record);
+  }
+  return os.str();
+}
+
 TEST(Shard, SerialPoolAndThreeShardMergeAreBitIdentical) {
   const SweepSpec grid = mixed_grid();
 
@@ -107,10 +118,8 @@ TEST(Shard, SerialPoolAndThreeShardMergeAreBitIdentical) {
   const SweepResult pooled = run_sweep(grid, /*threads=*/8);
 
   std::vector<ShardResult> shards;
-  for (int s = 0; s < 3; ++s) {
-    shards.push_back(
-        run_shard(grid, shard_cell_indices(grid.cells.size(), s, 3),
-                  /*threads=*/2));
+  for (const std::vector<std::size_t>& cells : lpt_partition(grid.cells, 3)) {
+    shards.push_back(run_shard(grid, cells, /*threads=*/2));
   }
   const SweepResult merged = merge_shards(shards);
 
@@ -122,20 +131,22 @@ TEST(Shard, SerialPoolAndThreeShardMergeAreBitIdentical) {
 TEST(Shard, MergedJsonRoundTripsBitwise) {
   const SweepSpec grid = mixed_grid();
   std::vector<ShardResult> shards;
-  for (int s = 0; s < 2; ++s) {
-    shards.push_back(run_shard(
-        grid, shard_cell_indices(grid.cells.size(), s, 2), /*threads=*/4));
+  for (const std::vector<std::size_t>& cells : lpt_partition(grid.cells, 2)) {
+    shards.push_back(run_shard(grid, cells, /*threads=*/4));
 
-    // The shard file itself must round-trip exactly, NaN fairness included.
-    std::ostringstream os;
-    write_shard_json(os, shards.back());
-    const ShardResult reread = read_shard_json(os.str());
+    // The slice's journal must round-trip exactly, NaN fairness included.
+    const ShardResult reread =
+        read_journal(journal_of(grid, shards.back()), "shard",
+                     /*allow_truncated_tail=*/false);
     EXPECT_EQ(reread.sweep_fingerprint, shards.back().sweep_fingerprint);
-    EXPECT_EQ(reread.cell_indices, shards.back().cell_indices);
-    EXPECT_EQ(reread.cell_fingerprints, shards.back().cell_fingerprints);
-    ASSERT_EQ(reread.cells.size(), shards.back().cells.size());
-    for (std::size_t k = 0; k < reread.cells.size(); ++k) {
-      expect_bit_identical(reread.cells[k], shards.back().cells[k]);
+    EXPECT_EQ(reread.total_cells, shards.back().total_cells);
+    ASSERT_EQ(reread.records.size(), shards.back().records.size());
+    for (std::size_t k = 0; k < reread.records.size(); ++k) {
+      EXPECT_EQ(reread.records[k].index, shards.back().records[k].index);
+      EXPECT_EQ(reread.records[k].fingerprint,
+                shards.back().records[k].fingerprint);
+      expect_bit_identical(reread.records[k].result,
+                           shards.back().records[k].result);
     }
   }
 
@@ -153,14 +164,28 @@ TEST(Shard, MergedJsonRoundTripsBitwise) {
 }
 
 TEST(Shard, ShardCellIndicesDealRoundRobin) {
-  EXPECT_EQ(shard_cell_indices(7, 0, 3), (std::vector<std::size_t>{0, 3, 6}));
-  EXPECT_EQ(shard_cell_indices(7, 1, 3), (std::vector<std::size_t>{1, 4}));
-  EXPECT_EQ(shard_cell_indices(7, 2, 3), (std::vector<std::size_t>{2, 5}));
+  // On a grid of equal-cost cells the LPT cut is a round-robin deal: cell
+  // i goes to shard i mod N, for every grid size and shard count.
+  const ScenarioSpec cell = short_cell(SchemeId::kCubic, "Verizon LTE", 6);
+  for (std::size_t total = 0; total <= 40; ++total) {
+    const std::vector<ScenarioSpec> cells(total, cell);
+    for (int n = 1; n <= 9; ++n) {
+      std::vector<std::vector<std::size_t>> round_robin(
+          static_cast<std::size_t>(n));
+      for (std::size_t i = 0; i < total; ++i) {
+        round_robin[i % static_cast<std::size_t>(n)].push_back(i);
+      }
+      EXPECT_EQ(lpt_partition(cells, n), round_robin)
+          << total << " cells, " << n << " shards";
+    }
+  }
+  const std::vector<ScenarioSpec> seven(7, cell);
+  EXPECT_EQ(lpt_partition(seven, 3),
+            (std::vector<std::vector<std::size_t>>{{0, 3, 6}, {1, 4}, {2, 5}}));
   // More shards than cells: the surplus shards are legitimately empty.
-  EXPECT_TRUE(shard_cell_indices(2, 2, 3).empty());
-  EXPECT_THROW((void)shard_cell_indices(7, 3, 3), std::invalid_argument);
-  EXPECT_THROW((void)shard_cell_indices(7, -1, 3), std::invalid_argument);
-  EXPECT_THROW((void)shard_cell_indices(7, 0, 0), std::invalid_argument);
+  EXPECT_TRUE(lpt_partition({cell, cell}, 3)[2].empty());
+  EXPECT_THROW((void)lpt_partition(seven, 0), std::invalid_argument);
+  EXPECT_THROW((void)lpt_partition(seven, -1), std::invalid_argument);
 }
 
 TEST(Shard, RunShardRejectsBadCellLists) {
@@ -243,15 +268,9 @@ TEST_F(ShardMerge, DisagreeingTotalsAreRejected) {
   expect_merge_error(shards, "totals disagree");
 }
 
-TEST_F(ShardMerge, InternallyInconsistentShardIsRejected) {
-  std::vector<ShardResult> shards = *shards_;
-  shards[0].cell_fingerprints.push_back(42);  // one fingerprint, no result
-  expect_merge_error(shards, "internally inconsistent");
-}
-
 TEST_F(ShardMerge, OutOfRangeCellIndexIsRejected) {
   std::vector<ShardResult> shards = *shards_;
-  shards[0].cell_indices[0] = 5;
+  shards[0].records[0].index = 5;
   expect_merge_error(shards, "only");
 }
 
@@ -263,42 +282,56 @@ TEST_F(ShardMerge, VerifyCatchesCellSubstitution) {
   // Shards that merge cleanly but whose cells are not this grid's cells:
   // per-cell fingerprints are the last line of defense.
   std::vector<ShardResult> shards = *shards_;
-  shards[1].cell_fingerprints[0] ^= 1;
+  shards[1].records[0].fingerprint ^= 1;
   const SweepResult merged = merge_shards(shards);
   EXPECT_THROW(verify_sweep_result(merged, *grid_), std::runtime_error);
 }
 
+// A shard's JSON is its journal (JSON Lines, runner/shard.h); merge reads
+// it strictly.
+
 TEST_F(ShardMerge, TruncatedShardJsonIsRejected) {
-  std::ostringstream os;
-  write_shard_json(os, (*shards_)[0]);
-  const std::string whole = os.str();
-  // A truncated file (half-written by a dying process) must never parse,
-  // at ANY cut point — not just convenient ones.
+  const std::string whole = journal_of(*grid_, (*shards_)[0]);
+  // A truncated file (half-written by a dying process) must never parse
+  // strictly, at ANY cut point inside a line — not just convenient ones.
   for (const double frac : {0.25, 0.5, 0.9, 0.99}) {
     const std::string cut =
         whole.substr(0, static_cast<std::size_t>(whole.size() * frac));
-    EXPECT_THROW((void)read_shard_json(cut), std::runtime_error) << frac;
+    ASSERT_NE(cut.back(), '\n') << frac;
+    EXPECT_THROW((void)read_journal(cut, "j", /*allow_truncated_tail=*/false),
+                 std::runtime_error)
+        << frac;
   }
 }
 
 TEST_F(ShardMerge, CorruptShardJsonIsRejected) {
-  std::ostringstream os;
-  write_shard_json(os, (*shards_)[0]);
-  const std::string whole = os.str();
+  const std::string whole = journal_of(*grid_, (*shards_)[0]);
+  const auto read = [](const std::string& text) {
+    return read_journal(text, "j", /*allow_truncated_tail=*/false);
+  };
 
   std::string garbage = whole;
   garbage[whole.find("sweep_fingerprint") + 25] = 'x';  // inside the number
-  EXPECT_THROW((void)read_shard_json(garbage), std::runtime_error);
+  EXPECT_THROW((void)read(garbage), std::runtime_error);
 
-  EXPECT_THROW((void)read_shard_json("not json at all"), std::runtime_error);
-  EXPECT_THROW((void)read_shard_json(""), std::runtime_error);
-  EXPECT_THROW((void)read_shard_json(whole + "trailing"), std::runtime_error);
+  EXPECT_THROW((void)read("not json at all\n"), std::runtime_error);
+  EXPECT_THROW((void)read(""), std::runtime_error);
+  EXPECT_THROW((void)read(whole + "trailing"), std::runtime_error);
+  // A garbage line is corruption, not a kill -9 wound, even to a
+  // recovery read.
+  EXPECT_THROW((void)read_journal(whole + "trailing\n", "j",
+                                  /*allow_truncated_tail=*/true),
+               std::runtime_error);
 
-  // Wrong schema tag: a sweep file is not a shard file.
+  // Wrong schema tag: a sweep file is not a journal, and vice versa.
+  std::string foreign = whole;
+  const std::string tag = "sprout-journal-v1";
+  foreign.replace(foreign.find(tag), tag.size(), "sprout-sweep-v1");
+  EXPECT_THROW((void)read(foreign), std::runtime_error);
   const SweepResult merged = merge_shards(*shards_);
   std::ostringstream sweep_os;
   write_sweep_json(sweep_os, merged);
-  EXPECT_THROW((void)read_shard_json(sweep_os.str()), std::runtime_error);
+  EXPECT_THROW((void)read(sweep_os.str()), std::runtime_error);
   EXPECT_THROW((void)read_sweep_json(whole), std::runtime_error);
 
   // The legacy per-bin series members are written empty and must stay so;
@@ -310,7 +343,7 @@ TEST_F(ShardMerge, CorruptShardJsonIsRejected) {
     ASSERT_NE(at, std::string::npos) << member;
     legacy.replace(at, empty.size(), "\"" + member + "\": [[0, 1, 2, 3]]");
     try {
-      (void)read_shard_json(legacy);
+      (void)read(legacy);
       ADD_FAILURE() << "non-empty " << member << " was accepted";
     } catch (const std::runtime_error& e) {
       EXPECT_NE(std::string(e.what()).find("\"" + member + "\""),
@@ -323,16 +356,15 @@ TEST_F(ShardMerge, CorruptShardJsonIsRejected) {
 TEST_F(ShardMerge, CounterBeyondDoubleExactRangeIsRejected) {
   // Integer counters ride as JSON numbers, exact only up to 2^53; a value
   // past that would round silently in the parse, so the reader refuses it.
-  std::ostringstream os;
-  write_shard_json(os, (*shards_)[0]);
-  std::string text = os.str();
+  std::string text = journal_of(*grid_, (*shards_)[0]);
   const std::string key = "\"packets_delivered\": ";
   const std::size_t at = text.find(key);
   ASSERT_NE(at, std::string::npos);
   const std::size_t digits_at = at + key.size();
   const std::size_t digits_end = text.find_first_not_of("0123456789", digits_at);
   text.replace(digits_at, digits_end - digits_at, "9007199254740994");
-  EXPECT_THROW((void)read_shard_json(text), std::runtime_error);
+  EXPECT_THROW((void)read_journal(text, "j", /*allow_truncated_tail=*/false),
+               std::runtime_error);
 }
 
 // --- fingerprints and scheduling ----------------------------------------
@@ -389,7 +421,12 @@ TEST(Shard, EstimatedCostScalesWithDurationFlowsAndSchemeWeight) {
 
 TEST(Shard, LongestFirstOrderIsDescendingAndStable) {
   const SweepSpec grid = mixed_grid();
-  const std::vector<std::size_t> order = longest_first_order(grid.cells);
+  // Indices handed over in reverse: the order is a function of the cells,
+  // never of the caller's list order.
+  std::vector<std::size_t> reversed(grid.cells.size());
+  std::iota(reversed.rbegin(), reversed.rend(), std::size_t{0});
+  const std::vector<std::size_t> order =
+      longest_first_order(grid.cells, reversed);
   ASSERT_EQ(order.size(), grid.cells.size());
   for (std::size_t k = 1; k < order.size(); ++k) {
     const double prev = estimated_cost(grid.cells[order[k - 1]]);

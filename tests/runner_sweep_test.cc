@@ -1,5 +1,5 @@
-// SweepRunner determinism: a parallel sweep must be bit-identical to a
-// serial run of the same specs, per-cell seed derivation must be stable
+// Thread-pool sweep determinism: a parallel run_sweep must be
+// bit-identical to a serial run of the same specs, per-cell seed derivation must be stable
 // under reordering, and the shared caches must make per-run precomputation
 // happen once per distinct key.
 #include "runner/sweep.h"
@@ -7,9 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 
 #include "obs/metrics.h"
 #include "runner/scenario.h"
+#include "runner/shard.h"
 
 namespace sprout {
 namespace {
@@ -18,6 +20,13 @@ namespace {
 // assertion below is a delta around the run under test.
 std::int64_t obs_counter(const char* name) {
   return obs::Registry::instance().counter(name).value();
+}
+
+// Runs `specs` as one grid on `threads` threads; results in input order.
+std::vector<ScenarioResult> sweep(
+    const std::vector<ScenarioSpec>& specs, int threads,
+    std::optional<std::uint64_t> base_seed = std::nullopt) {
+  return run_sweep(SweepSpec{specs, base_seed}, threads).cells;
 }
 
 std::vector<ScenarioSpec> grid() {
@@ -59,10 +68,8 @@ void expect_identical(const ScenarioResult& a, const ScenarioResult& b) {
 TEST(Sweep, ParallelMatchesSerialBitForBit) {
   const std::vector<ScenarioSpec> specs = grid();
 
-  SweepRunner serial(SweepOptions{.threads = 1});
-  SweepRunner parallel(SweepOptions{.threads = 8});
-  const std::vector<ScenarioResult> a = serial.run(specs);
-  const std::vector<ScenarioResult> b = parallel.run(specs);
+  const std::vector<ScenarioResult> a = sweep(specs, /*threads=*/1);
+  const std::vector<ScenarioResult> b = sweep(specs, /*threads=*/8);
 
   ASSERT_EQ(a.size(), specs.size());
   ASSERT_EQ(b.size(), specs.size());
@@ -75,8 +82,7 @@ TEST(Sweep, ParallelMatchesSerialBitForBit) {
 TEST(Sweep, MatchesDirectRunScenario) {
   std::vector<ScenarioSpec> specs = grid();
   specs.resize(4);  // keep the serial reference cheap
-  SweepRunner runner(SweepOptions{.threads = 8});
-  const std::vector<ScenarioResult> swept = runner.run(specs);
+  const std::vector<ScenarioResult> swept = sweep(specs, /*threads=*/8);
   for (std::size_t i = 0; i < specs.size(); ++i) {
     SCOPED_TRACE(i);
     expect_identical(swept[i], run_scenario(specs[i]));
@@ -109,13 +115,8 @@ TEST(Sweep, DerivedSeedResultsAreOrderIndependent) {
   std::vector<ScenarioSpec> reversed = specs;
   std::reverse(reversed.begin(), reversed.end());
 
-  SweepOptions opts;
-  opts.threads = 4;
-  opts.base_seed = 7;
-  SweepRunner forward(opts);
-  SweepRunner backward(opts);
-  const std::vector<ScenarioResult> a = forward.run(specs);
-  const std::vector<ScenarioResult> b = backward.run(reversed);
+  const std::vector<ScenarioResult> a = sweep(specs, /*threads=*/4, 7);
+  const std::vector<ScenarioResult> b = sweep(reversed, /*threads=*/4, 7);
   for (std::size_t i = 0; i < specs.size(); ++i) {
     SCOPED_TRACE(i);
     expect_identical(a[i], b[specs.size() - 1 - i]);
@@ -126,11 +127,10 @@ TEST(Sweep, TraceCacheMaterializesEachPresetOnce) {
   const std::vector<ScenarioSpec> specs = grid();
   const std::int64_t misses_before = obs_counter("cache.traces.misses");
   const std::int64_t hits_before = obs_counter("cache.traces.hits");
-  SweepRunner runner(SweepOptions{.threads = 8});
-  (void)runner.run(specs);
+  (void)sweep(specs, /*threads=*/8);
   // 12 cells over 2 networks -> 4 distinct (network, direction, duration)
   // trace keys (each network contributes its downlink + uplink twin).
-  // The runner's cache is fresh, so the deltas are exact.
+  // Each run has a fresh cache, so the deltas are exact.
   EXPECT_EQ(obs_counter("cache.traces.misses") - misses_before, 4);
   EXPECT_EQ(obs_counter("cache.traces.hits") - hits_before,
             static_cast<std::int64_t>(2 * specs.size()) - 4);
@@ -153,8 +153,7 @@ TEST(Sweep, ForecasterTablesBuildOncePerDistinctParams) {
   }
   const std::int64_t misses_before = obs_counter("cache.forecast_tables.misses");
   const std::int64_t hits_before = obs_counter("cache.forecast_tables.hits");
-  SweepRunner runner(SweepOptions{.threads = 4});
-  (void)runner.run(specs);
+  (void)sweep(specs, /*threads=*/4);
   const std::int64_t misses =
       obs_counter("cache.forecast_tables.misses") - misses_before;
   const std::int64_t hits =
@@ -228,8 +227,7 @@ TEST(Sweep, TransitionMatricesBuildOncePerDistinctParams) {
   const std::int64_t misses_before =
       obs_counter("cache.transition_matrix.misses");
   const std::int64_t hits_before = obs_counter("cache.transition_matrix.hits");
-  SweepRunner runner(SweepOptions{.threads = 4});
-  (void)runner.run(specs);
+  (void)sweep(specs, /*threads=*/4);
   const std::int64_t misses =
       obs_counter("cache.transition_matrix.misses") - misses_before;
   const std::int64_t hits =
@@ -247,8 +245,7 @@ TEST(Sweep, FirstFailureInInputOrderIsRethrown) {
   // field-by-field; run_scenario re-validates and throws inside the pool.
   specs[1].topology.kind = TopologySpec::Kind::kSharedQueue;
   specs[1].topology.num_flows = 0;  // invalid
-  SweepRunner runner(SweepOptions{.threads = 4});
-  EXPECT_THROW((void)runner.run(specs), std::invalid_argument);
+  EXPECT_THROW((void)sweep(specs, /*threads=*/4), std::invalid_argument);
 }
 
 }  // namespace

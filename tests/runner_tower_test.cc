@@ -142,10 +142,10 @@ TEST(TowerSweep, SerialPoolAndShardedRunsAreByteIdentical) {
 
   const SweepResult serial = run_sweep(grid, /*threads=*/1);
   const SweepResult pooled = run_sweep(grid, /*threads=*/4);
-  const SweepResult merged = merge_shards({
-      run_shard(grid, shard_cell_indices(grid.cells.size(), 0, 2)),
-      run_shard(grid, shard_cell_indices(grid.cells.size(), 1, 2)),
-  });
+  const std::vector<std::vector<std::size_t>> cut =
+      lpt_partition(grid.cells, 2);
+  const SweepResult merged =
+      merge_shards({run_shard(grid, cut[0]), run_shard(grid, cut[1])});
   verify_sweep_result(merged, grid);
 
   const std::string serial_bytes = sweep_bytes(serial);
@@ -197,10 +197,10 @@ TEST(TowerSweep, ScaleThousandUsersThreeHundredSeconds) {
   grid.base_seed = 7;
 
   const SweepResult pooled = run_sweep(grid, /*threads=*/0);
-  const SweepResult merged = merge_shards({
-      run_shard(grid, shard_cell_indices(grid.cells.size(), 0, 2)),
-      run_shard(grid, shard_cell_indices(grid.cells.size(), 1, 2)),
-  });
+  const std::vector<std::vector<std::size_t>> cut =
+      lpt_partition(grid.cells, 2);
+  const SweepResult merged =
+      merge_shards({run_shard(grid, cut[0]), run_shard(grid, cut[1])});
   EXPECT_EQ(sweep_bytes(pooled), sweep_bytes(merged));
   EXPECT_GE(pooled.cells.at(0).flows.size(), 1000u);
   EXPECT_GT(pooled.cells.at(0).population_delay_hist.samples(), 0);

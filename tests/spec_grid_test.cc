@@ -36,8 +36,8 @@ TEST(SpecGrid, CrossExpansionIsRowMajorFirstAxisOutermost) {
   EXPECT_DOUBLE_EQ(spec.sweep.cells[3].loss_rate_fwd, 0.0);
   EXPECT_EQ(spec.sweep.cells[5].scheme, SchemeId::kVegas);
   EXPECT_DOUBLE_EQ(spec.sweep.cells[5].loss_rate_fwd, 0.1);
-  // Defaults: no name -> "", no plan -> round-robin, no base_seed.
-  EXPECT_EQ(spec.strategy, PartitionStrategy::kRoundRobin);
+  // Defaults: no name -> "", no base_seed.
+  EXPECT_TRUE(spec.name.empty());
   EXPECT_FALSE(spec.sweep.base_seed.has_value());
 }
 
@@ -247,7 +247,6 @@ TEST(SpecGrid, ExplicitCellsAndOverrides) {
     "spec_version": 1,
     "name": "explicit",
     "base_seed": 99,
-    "plan": {"strategy": "lpt"},
     "cells": [
       {"scheme": "Cubic", "run_time_s": 30, "warmup_s": 3},
       {"scheme": "Vegas", "run_time_s": 30, "warmup_s": 3}
@@ -255,7 +254,6 @@ TEST(SpecGrid, ExplicitCellsAndOverrides) {
     "cell_overrides": [{"cell": 1, "patch": {"loss_rate": 0.07}}]
   })");
   EXPECT_EQ(spec.name, "explicit");
-  EXPECT_EQ(spec.strategy, PartitionStrategy::kLpt);
   ASSERT_TRUE(spec.sweep.base_seed.has_value());
   EXPECT_EQ(*spec.sweep.base_seed, 99u);
   ASSERT_EQ(spec.sweep.cells.size(), 2u);
@@ -277,6 +275,13 @@ TEST(SpecGrid, ExplicitCellsAndOverrides) {
         (void)parse(R"({"spec_version": 1, "cells": [{}], "base": {}})");
       },
       "cells: an explicit cell list cannot be combined with \"base\"");
+  // A spec does not choose the shard cut: LPT is the only one.
+  expect_spec_error(
+      [] {
+        (void)parse(R"({"spec_version": 1, "plan": {"strategy": "lpt"},
+                        "cells": [{}]})");
+      },
+      "plan: unknown field");
 }
 
 TEST(SpecGrid, ExpansionErrorsCarryTheCellIndex) {
@@ -303,19 +308,15 @@ TEST(SpecGrid, CheckedInSpecMatchesCompiledGrid) {
     const char* file;
     const char* name;
     std::uint64_t fingerprint;
-    PartitionStrategy strategy;
   } locks[] = {
-      {"coexistence_smoke.json", "coexistence-smoke", 16589686577502135053ull,
-       PartitionStrategy::kLpt},
-      {"mixed_duration.json", "mixed-duration", 17961968230684069721ull,
-       PartitionStrategy::kRoundRobin},
+      {"coexistence_smoke.json", "coexistence-smoke", 16589686577502135053ull},
+      {"mixed_duration.json", "mixed-duration", 17961968230684069721ull},
   };
   for (const auto& lock : locks) {
     const ExperimentSpec spec = parse_experiment_file(
         std::string(SPROUT_SOURCE_DIR) + "/specs/" + lock.file);
     EXPECT_EQ(sweep_fingerprint(spec.sweep), lock.fingerprint) << lock.file;
     EXPECT_EQ(spec.name, lock.name);
-    EXPECT_EQ(spec.strategy, lock.strategy) << lock.file;
     ASSERT_TRUE(spec.sweep.base_seed.has_value()) << lock.file;
     EXPECT_EQ(*spec.sweep.base_seed, 42u) << lock.file;
   }

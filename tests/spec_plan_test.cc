@@ -1,10 +1,11 @@
-#include "spec/plan.h"
-
+// Shard plans for spec files: the LPT cut (runner/shard.h's lpt_partition)
+// that `sweep run --shard I/N` and `spec_lint --shards N` apply to a
+// checked-in grid whose cell costs are deliberately skewed.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <sstream>
 
+#include "runner/shard.h"
 #include "spec/grid.h"
 
 namespace sprout::spec {
@@ -27,13 +28,13 @@ double shard_cost(const SweepSpec& spec,
   return cost;
 }
 
-TEST(SpecPlan, StrategyNamesRoundTrip) {
-  for (const PartitionStrategy s :
-       {PartitionStrategy::kRoundRobin, PartitionStrategy::kLpt}) {
-    EXPECT_EQ(partition_from_name(to_string(s)), s);
+double makespan(const SweepSpec& spec,
+                const std::vector<std::vector<std::size_t>>& buckets) {
+  double worst = 0.0;
+  for (const std::vector<std::size_t>& bucket : buckets) {
+    worst = std::max(worst, shard_cost(spec, bucket));
   }
-  EXPECT_FALSE(partition_from_name("greedy").has_value());
-  EXPECT_FALSE(partition_from_name("").has_value());
+  return worst;
 }
 
 TEST(SpecPlan, LptPartitionsEveryCellExactlyOnce) {
@@ -59,27 +60,23 @@ TEST(SpecPlan, LptPartitionsEveryCellExactlyOnce) {
 
 TEST(SpecPlan, LptBalancesBetterThanRoundRobinOnSkewedCosts) {
   const SweepSpec grid = unbalanced_grid();
-  const auto makespan = [&](PartitionStrategy strategy, int shards) {
-    double worst = 0.0;
-    for (int s = 0; s < shards; ++s) {
-      worst = std::max(
-          worst, shard_cost(grid, plan_shard_indices(grid, strategy, s,
-                                                     shards)));
-    }
-    return worst;
-  };
-  // mixed-duration's costs cluster so that round-robin's stride lands the
-  // two most expensive cells (indices 1 and 3) in adjacent shards while
-  // LPT spreads them; LPT's makespan must never be worse.
+  // mixed-duration's costs cluster so that a round-robin deal (cell i to
+  // shard i mod N) lands the two most expensive cells (indices 1 and 3)
+  // in adjacent shards while LPT spreads them; LPT's makespan must never
+  // be worse.
   for (const int shards : {2, 3}) {
-    EXPECT_LE(makespan(PartitionStrategy::kLpt, shards),
-              makespan(PartitionStrategy::kRoundRobin, shards))
+    std::vector<std::vector<std::size_t>> round_robin(
+        static_cast<std::size_t>(shards));
+    for (std::size_t i = 0; i < grid.cells.size(); ++i) {
+      round_robin[i % static_cast<std::size_t>(shards)].push_back(i);
+    }
+    EXPECT_LE(makespan(grid, lpt_partition(grid.cells, shards)),
+              makespan(grid, round_robin))
         << shards << " shards";
   }
-  // And the greedy bound itself: no shard exceeds total cost with 1 shard,
-  // trivially, and with N shards the heaviest single cell is a lower
-  // bound the LPT makespan must stay close to (4/3 OPT guarantee; use the
-  // weaker "max cell or average, whichever larger, times 4/3").
+  // And the greedy bound itself: with N shards the heaviest single cell
+  // and the average load are lower bounds on the optimum, and LPT stays
+  // within 4/3 of the larger of the two.
   double total = 0.0;
   double heaviest = 0.0;
   for (const ScenarioSpec& cell : grid.cells) {
@@ -88,95 +85,15 @@ TEST(SpecPlan, LptBalancesBetterThanRoundRobinOnSkewedCosts) {
   }
   const int shards = 3;
   const double lower = std::max(heaviest, total / shards);
-  EXPECT_LE(makespan(PartitionStrategy::kLpt, shards), lower * 4.0 / 3.0);
+  EXPECT_LE(makespan(grid, lpt_partition(grid.cells, shards)),
+            lower * 4.0 / 3.0);
 }
 
 TEST(SpecPlan, PlansAreDeterministic) {
   const SweepSpec grid = unbalanced_grid();
-  for (int s = 0; s < 3; ++s) {
-    EXPECT_EQ(plan_shard_indices(grid, PartitionStrategy::kLpt, s, 3),
-              plan_shard_indices(grid, PartitionStrategy::kLpt, s, 3));
-  }
-}
-
-TEST(SpecPlan, RoundRobinMatchesShardCellIndices) {
-  const SweepSpec grid = unbalanced_grid();
-  for (int s = 0; s < 3; ++s) {
-    EXPECT_EQ(plan_shard_indices(grid, PartitionStrategy::kRoundRobin, s, 3),
-              shard_cell_indices(grid.cells.size(), s, 3));
-  }
-}
-
-TEST(SpecPlan, BoundsErrorsMatchRoundRobinContract) {
-  const SweepSpec grid = unbalanced_grid();
-  for (const PartitionStrategy strategy :
-       {PartitionStrategy::kRoundRobin, PartitionStrategy::kLpt}) {
-    EXPECT_THROW((void)plan_shard_indices(grid, strategy, 0, 0),
-                 std::invalid_argument);
-    EXPECT_THROW((void)plan_shard_indices(grid, strategy, 3, 3),
-                 std::invalid_argument);
-    EXPECT_THROW((void)plan_shard_indices(grid, strategy, -1, 3),
-                 std::invalid_argument);
-  }
-}
-
-// The determinism guard the partition stamps exist for: shards cut by
-// different strategies refuse to merge, and unrecorded/explicit stamps
-// stay compatible with everything.
-TEST(SpecPlan, MergeRejectsMixedPartitionStrategies) {
-  ShardResult a;
-  a.sweep_fingerprint = 1;
-  a.total_cells = 2;
-  a.partition = "lpt";
-  a.cell_indices = {0};
-  a.cell_fingerprints = {10};
-  a.cells = {ScenarioResult{}};
-  ShardResult b = a;
-  b.partition = "round-robin";
-  b.cell_indices = {1};
-  b.cell_fingerprints = {11};
-
-  try {
-    (void)merge_shards({a, b});
-    FAIL() << "expected a mixed-strategy rejection";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find(
-                  "mix partition strategies (lpt vs round-robin)"),
-              std::string::npos)
-        << e.what();
-  }
-
-  // Same strategy merges; explicit and unrecorded stamps are compatible
-  // with any strategy.
-  b.partition = "lpt";
-  EXPECT_NO_THROW((void)merge_shards({a, b}));
-  b.partition = "explicit";
-  EXPECT_NO_THROW((void)merge_shards({a, b}));
-  b.partition = "";
-  EXPECT_NO_THROW((void)merge_shards({a, b}));
-}
-
-// The partition stamp survives the shard-file round trip (and its absence
-// stays absent, keeping pre-split shard files readable and byte-stable).
-TEST(SpecPlan, PartitionStampRoundTripsThroughShardJson) {
-  ShardResult shard;
-  shard.sweep_fingerprint = 77;
-  shard.total_cells = 1;
-  shard.partition = "lpt";
-  shard.cell_indices = {0};
-  shard.cell_fingerprints = {5};
-  shard.cells = {ScenarioResult{}};
-
-  std::ostringstream os;
-  write_shard_json(os, shard);
-  EXPECT_NE(os.str().find("\"partition\": \"lpt\""), std::string::npos);
-  EXPECT_EQ(read_shard_json(os.str()).partition, "lpt");
-
-  shard.partition.clear();
-  std::ostringstream bare;
-  write_shard_json(bare, shard);
-  EXPECT_EQ(bare.str().find("partition"), std::string::npos);
-  EXPECT_EQ(read_shard_json(bare.str()).partition, "");
+  EXPECT_EQ(lpt_partition(grid.cells, 3), lpt_partition(grid.cells, 3));
+  EXPECT_EQ(lpt_partition(grid.cells, 3),
+            lpt_partition(unbalanced_grid().cells, 3));
 }
 
 }  // namespace

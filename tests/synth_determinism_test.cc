@@ -92,16 +92,13 @@ TEST(SynthDeterminism, SerialThreadPoolAndShardMergeAreByteIdentical) {
 
 TEST(SynthDeterminism, SweepCacheMaterializesEachChannelOnce) {
   const SweepSpec grid = synth_grid();
-  SweepOptions options;
-  options.base_seed = grid.base_seed;
   // Trace-cache tallies live in the process-global obs registry; the
-  // runner's cache is fresh, so deltas around this run are exact.
+  // run's cache is fresh, so deltas around this run are exact.
   auto& reg = obs::Registry::instance();
   const std::int64_t misses_before =
       reg.counter("cache.traces.misses").value();
   const std::int64_t hits_before = reg.counter("cache.traces.hits").value();
-  SweepRunner runner(options);
-  (void)runner.run(grid.cells);
+  (void)run_sweep(grid, /*threads=*/0);
   // 4 cells x 2 directions = 8 trace lookups over 3 distinct channels
   // (two forwards + the shared reverse).
   EXPECT_EQ(reg.counter("cache.traces.misses").value() - misses_before, 3);
