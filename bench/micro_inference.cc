@@ -6,8 +6,6 @@
 // well under 1 ms; these benchmarks verify the headroom.
 #include <benchmark/benchmark.h>
 
-#include <vector>
-
 #include "cc/gcc.h"
 #include "core/adaptive.h"
 #include "core/alt_models.h"
@@ -98,40 +96,6 @@ void BM_EvolveDense(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EvolveDense)->Arg(64)->Arg(256);
-
-// Batched multi-flow evolve vs N serial banded evolves at the same states.
-void BM_EvolveBatch(benchmark::State& state) {
-  SproutParams params;
-  const int flows = static_cast<int>(state.range(0));
-  const bool batched = state.range(1) != 0;
-  TransitionMatrix m(params);
-  std::vector<RateDistribution> dists;
-  for (int f = 0; f < flows; ++f) {
-    RateDistribution d(params.num_bins);
-    SproutParams p = params;
-    SproutBayesFilter filter(p);
-    for (int t = 0; t < 30 + f; ++t) {
-      filter.evolve();
-      filter.observe(4 + (f % 12));
-    }
-    dists.push_back(filter.distribution());
-  }
-  std::vector<RateDistribution*> ptrs;
-  for (auto& d : dists) ptrs.push_back(&d);
-  for (auto _ : state) {
-    if (batched) {
-      m.evolve_batch(ptrs);
-    } else {
-      for (auto* d : ptrs) m.evolve(*d);
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * flows);
-}
-BENCHMARK(BM_EvolveBatch)
-    ->Args({8, 0})   // 8 flows, serial
-    ->Args({8, 1})   // 8 flows, batched
-    ->Args({32, 0})  // heavier fleets
-    ->Args({32, 1});
 
 // The fused quantile scan: one forecast() at the paper's config, with the
 // Poisson-mixture tables engaged (the path the transposed layout and the

@@ -1,12 +1,12 @@
 // Perf-trajectory tracker for the inference fast paths (PR 6 onward).
 //
-// Measures the banded evolve kernel against the exact dense reference and
-// the batched multi-flow evolve against N serial evolves, then emits one
-// machine-readable BENCH_<n>.json artifact.  Checked-in artifacts form the
-// repo's perf trajectory: each perf PR adds a BENCH_<n>.json, and CI's
-// bench-smoke job re-measures the current tree against the floors recorded
-// here (--check), so a regression that erases a claimed speedup fails the
-// build instead of rotting silently.
+// Measures the banded evolve kernel — the one evolve every filter and
+// forecast runs — against the exact dense reference, and the mixture
+// forecast, then emits one machine-readable BENCH_<n>.json artifact.
+// Checked-in artifacts form the repo's perf trajectory: each perf change
+// adds a BENCH_<n>.json, and CI's perf-smoke job re-measures the current
+// tree against the floors recorded here (--check), so a regression that
+// erases a claimed speedup fails the build instead of rotting silently.
 //
 // Unlike bench/micro_inference (google-benchmark, interactive tables), this
 // tool is plain chrono: fixed minimum measurement time, no statistics
@@ -26,11 +26,10 @@
 // evolve, measured and floored identically to the obs guard.
 //
 // Usage:
-//   perf_trajectory [--json FILE] [--min-time S] [--bins N] [--flows N]
-//                   [--check]
-//   --check exits 1 if banded < 2x dense at the configured bins, batched
-//   < 1.5x serial at the configured flows, or obs-on / recorder-off
-//   overhead >= 1% on the banded evolve in all three attempts.
+//   perf_trajectory [--json FILE] [--min-time S] [--bins N] [--check]
+//   --check exits 1 if banded < 2x dense at the configured bins, or obs-on
+//   / recorder-off overhead >= 1% on the banded evolve in all three
+//   attempts.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -152,14 +151,12 @@ struct Options {
   std::string json_path;
   double min_time_s = 0.5;
   int bins = 256;
-  int flows = 8;
   bool check = false;
 };
 
 [[noreturn]] void usage_and_exit(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s [--json FILE] [--min-time S] [--bins N] "
-               "[--flows N] [--check]\n",
+               "usage: %s [--json FILE] [--min-time S] [--bins N] [--check]\n",
                argv0);
   std::exit(2);
 }
@@ -178,15 +175,13 @@ Options parse_options(int argc, char** argv) {
       opt.min_time_s = std::atof(value());
     } else if (arg == "--bins") {
       opt.bins = std::atoi(value());
-    } else if (arg == "--flows") {
-      opt.flows = std::atoi(value());
     } else if (arg == "--check") {
       opt.check = true;
     } else {
       usage_and_exit(argv[0]);
     }
   }
-  if (opt.min_time_s <= 0.0 || opt.bins < 2 || opt.flows < 1) {
+  if (opt.min_time_s <= 0.0 || opt.bins < 2) {
     usage_and_exit(argv[0]);
   }
   return opt;
@@ -242,25 +237,6 @@ int run(const Options& opt) {
     if (rec_overhead < 0.01) break;
   }
 
-  // --- batched vs serial, a fleet of distinct posteriors ---
-  std::vector<RateDistribution> serial_dists;
-  std::vector<RateDistribution> batch_dists;
-  for (int f = 0; f < opt.flows; ++f) {
-    const RateDistribution d = locked_posterior(params, 2 + (f % 15));
-    serial_dists.push_back(d);
-    batch_dists.push_back(d);
-  }
-  std::vector<RateDistribution*> serial_ptrs;
-  std::vector<RateDistribution*> batch_ptrs;
-  for (auto& d : serial_dists) serial_ptrs.push_back(&d);
-  for (auto& d : batch_dists) batch_ptrs.push_back(&d);
-  const double serial_ns = time_ns(opt.min_time_s, [&] {
-    for (RateDistribution* d : serial_ptrs) matrix.evolve(*d);
-  });
-  const double batch_ns =
-      time_ns(opt.min_time_s, [&] { matrix.evolve_batch(batch_ptrs); });
-  const double batch_speedup = serial_ns / batch_ns;
-
   // --- the fused mixture-quantile forecast (transposed tables + floor) ---
   SproutParams mixture_params = params;
   mixture_params.count_noise_in_forecast = true;
@@ -282,7 +258,6 @@ int run(const Options& opt) {
         "  \"pr\": 10,\n"
         "  \"config\": {\n"
         "    \"bins\": %d,\n"
-        "    \"flows\": %d,\n"
         "    \"band_epsilon\": %.3g,\n"
         "    \"kernel_backend\": \"%s\",\n"
         "    \"mean_bandwidth\": %.2f,\n"
@@ -292,13 +267,10 @@ int run(const Options& opt) {
         "  \"timings_ns\": {\n"
         "    \"evolve_dense\": %.1f,\n"
         "    \"evolve_banded\": %.1f,\n"
-        "    \"evolve_serial_fleet\": %.1f,\n"
-        "    \"evolve_batch_fleet\": %.1f,\n"
         "    \"forecast_mixture_8h\": %.1f\n"
         "  },\n"
         "  \"speedups\": {\n"
-        "    \"banded_vs_dense\": %.3f,\n"
-        "    \"batched_vs_serial\": %.3f\n"
+        "    \"banded_vs_dense\": %.3f\n"
         "  },\n"
         "  \"obs\": {\n"
         "    \"on_overhead_banded\": %.4f,\n"
@@ -310,16 +282,14 @@ int run(const Options& opt) {
         "  },\n"
         "  \"floors\": {\n"
         "    \"banded_vs_dense\": 2.0,\n"
-        "    \"batched_vs_serial\": 1.5,\n"
         "    \"obs_on_overhead_banded_max\": 0.01,\n"
         "    \"recorder_off_overhead_banded_max\": 0.01\n"
         "  }\n"
         "}\n",
-        opt.bins, opt.flows, params.band_epsilon, kernels::active_backend(),
+        opt.bins, params.band_epsilon, kernels::active_backend(),
         matrix.mean_bandwidth(), matrix.max_bandwidth(), opt.min_time_s,
-        dense_ns, banded_ns, serial_ns, batch_ns, forecast_ns, banded_speedup,
-        batch_speedup, obs_overhead, obs_attempts, rec_overhead,
-        rec_attempts);
+        dense_ns, banded_ns, forecast_ns, banded_speedup, obs_overhead,
+        obs_attempts, rec_overhead, rec_attempts);
     return std::string(buf);
   }();
 
@@ -343,13 +313,6 @@ int run(const Options& opt) {
                    banded_speedup, opt.bins);
       ok = false;
     }
-    if (batch_speedup < 1.5) {
-      std::fprintf(stderr,
-                   "FAIL: batched evolve only %.2fx serial at %d flows "
-                   "(floor 1.5x)\n",
-                   batch_speedup, opt.flows);
-      ok = false;
-    }
     if (obs_overhead >= 0.01) {
       std::fprintf(stderr,
                    "FAIL: obs-on overhead %.2f%% on banded evolve "
@@ -366,10 +329,9 @@ int run(const Options& opt) {
     }
     if (!ok) return 1;
     std::fprintf(stderr,
-                 "perf floors hold: banded %.2fx, batched %.2fx, "
-                 "obs overhead %.2f%%, recorder-off overhead %.2f%%\n",
-                 banded_speedup, batch_speedup, obs_overhead * 100.0,
-                 rec_overhead * 100.0);
+                 "perf floors hold: banded %.2fx, obs overhead %.2f%%, "
+                 "recorder-off overhead %.2f%%\n",
+                 banded_speedup, obs_overhead * 100.0, rec_overhead * 100.0);
   }
   return 0;
 }

@@ -26,7 +26,6 @@
 #include <climits>
 #include <cstdlib>
 #include <cstring>
-#include <functional>
 #include <iostream>
 #include <string>
 #include <thread>
@@ -177,17 +176,15 @@ int main(int argc, char** argv) {
     // split, so total/threads is a fantasy whenever one expensive cell
     // (a Sprout-Adaptive grid point, say) towers over the rest; the LPT
     // makespan keeps that cell visible as the floor it is.
-    std::vector<double> costs;
-    for (const ScenarioSpec& cell : experiment.sweep.cells) {
-      costs.push_back(estimated_cost(cell));
+    double makespan = 0.0;
+    for (const std::vector<std::size_t>& bucket :
+         lpt_partition(experiment.sweep.cells, threads)) {
+      double cost = 0.0;
+      for (const std::size_t i : bucket) {
+        cost += estimated_cost(experiment.sweep.cells[i]);
+      }
+      makespan = std::max(makespan, cost);
     }
-    std::sort(costs.begin(), costs.end(), std::greater<>());
-    std::vector<double> load(static_cast<std::size_t>(threads), 0.0);
-    for (const double c : costs) {
-      *std::min_element(load.begin(), load.end()) += c;
-    }
-    const double makespan =
-        load.empty() ? 0.0 : *std::max_element(load.begin(), load.end());
     std::cout << "wall-clock:  ~" << format_double(serial_s, 1)
               << " s single-thread, ~" << format_double(makespan / rate, 1)
               << " s on " << threads

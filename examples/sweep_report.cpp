@@ -13,25 +13,27 @@
 //   sweep_report strip        runtime|timeline IN.json OUT.json
 //
 // `metrics` prints the slowest cells, per-worker utilization, the fault
-// log, and — from the registry snapshots — cache hit rates and batcher
-// utilization.  `runtime` prints the per-cell wall/RSS stamps a
-// --metrics-out run leaves in its results.  `chart` draws the paper's
-// Figure-6-style view of a --timeline sweep in the terminal
-// (util/ascii_plot.h): realized capacity bars with the cautious forecast
-// marked on the same scale, then the per-bin delay.  `export` flattens
-// timelines to JSONL or CSV; `export-trace` emits them as Chrome counter
-// tracks ("ph": "C", chrome://tracing / ui.perfetto.dev), optionally
-// merged into a --trace-out file so one trace shows worker spans above
-// per-flow counters.  `validate` is the strict schema gate: path-aware
-// errors, non-zero exit on the first violation.  `strip` erases every
-// "runtime" or "timeline" member (erase_result_field, runner/shard.h) so a
-// telemetered or recorded run byte-diffs clean against a plain one.
+// log, and — from the registry snapshots — cache hit rates.  `runtime`
+// prints the per-cell wall/RSS stamps a --metrics-out run leaves in its
+// results.  `chart` draws the paper's Figure-6-style view of a --timeline
+// sweep in the terminal (util/ascii_plot.h): realized capacity bars with
+// the cautious forecast marked on the same scale, then the per-bin delay.
+// `export` flattens timelines to JSONL or CSV; `export-trace` emits them
+// as Chrome counter tracks ("ph": "C", chrome://tracing /
+// ui.perfetto.dev), optionally merged into a --trace-out file so one trace
+// shows worker spans above per-flow counters.  `validate` is the strict
+// schema gate: path-aware errors, non-zero exit on the first violation;
+// integers go through runner/shard.h's bounded readers.  `strip` erases
+// every "runtime" or "timeline" member (erase_result_field,
+// runner/shard.h) so a telemetered or recorded run byte-diffs clean
+// against a plain one.
 //
 // Exit codes: 0 ok, 1 invalid input, 2 usage.
 #include <algorithm>
 #include <cmath>
 #include <functional>
 #include <iostream>
+#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -49,6 +51,18 @@ using cli::read_file;
 using cli::require;
 using cli::write_file;
 
+// One of the bounded integer readers (read_i64, read_size; runner/shard.h)
+// applied to `v`, its errors led by `context`: the value's file:line or
+// JSON path.
+template <typename Read>
+auto read_at(Read read, const JsonValue& v, const std::string& context) {
+  try {
+    return read(v);
+  } catch (const std::runtime_error& e) {
+    throw std::runtime_error(context + ": " + e.what());
+  }
+}
+
 // Calls `fn(cell_index, result, context)` for every cells[i].result of a
 // sweep or shard document; `context` names the member's path
 // ("file: cells[3].result") so a violation points at the offending value.
@@ -58,9 +72,9 @@ void for_each_result(
                              const std::string&)>& fn) {
   const std::vector<JsonValue>& cells = doc.at("cells").as_array();
   for (std::size_t c = 0; c < cells.size(); ++c) {
-    fn(static_cast<std::int64_t>(cells[c].at("index").as_number()),
-       cells[c].at("result"),
-       path + ": cells[" + std::to_string(c) + "].result");
+    const std::string context = path + ": cells[" + std::to_string(c) + "]";
+    fn(read_at(read_i64, cells[c].at("index"), context + ".index"),
+       cells[c].at("result"), context + ".result");
   }
 }
 
@@ -68,8 +82,8 @@ void for_each_result(
 
 struct CellEvent {
   std::size_t index = 0;
-  int worker = -1;  // -1: not recorded (merged-sweep stamps)
-  int attempt = 0;
+  std::int64_t worker = -1;  // -1: not recorded (merged-sweep stamps)
+  std::int64_t attempt = 0;
   double wall_s = 0.0;
   std::int64_t peak_rss_bytes = 0;
 };
@@ -87,8 +101,19 @@ struct MetricsFeed {
   std::vector<JsonValue> worker_registries;
 };
 
-std::string as_count(const JsonValue& v) {
-  return std::to_string(static_cast<long long>(v.as_number()));
+std::string as_count(const JsonValue& v, const std::string& context) {
+  return std::to_string(read_at(read_i64, v, context));
+}
+
+// A summary's or worker_summary's registry snapshot.  `metrics` sums its
+// counters, so each must be a bounded integer.
+void check_registry(const JsonValue& v, const std::string& context,
+                    const std::string& event) {
+  require(v.at("registry").has("counters"), context,
+          event + " registry without counters");
+  for (const auto& [name, count] : v.at("registry").at("counters").members()) {
+    (void)read_at(read_i64, count, context + ": counter " + name);
+  }
 }
 
 // Parses and schema-checks a metrics.jsonl feed in one pass: rendering and
@@ -108,8 +133,7 @@ MetricsFeed parse_metrics(const std::string& path) {
               header.at("schema").as_string() == "sprout-metrics-v1",
           path + ":1", "header schema is not sprout-metrics-v1");
   feed.sweep_fingerprint = header.at("sweep_fingerprint").as_string();
-  feed.total_cells =
-      static_cast<std::size_t>(header.at("total_cells").as_number());
+  feed.total_cells = read_at(read_size, header.at("total_cells"), path + ":1");
 
   for (std::size_t n = 1; n < lines.size(); ++n) {
     const std::string context = path + ":" + std::to_string(n + 1);
@@ -118,22 +142,24 @@ MetricsFeed parse_metrics(const std::string& path) {
     const std::string& event = v.at("event").as_string();
     if (event == "cell") {
       CellEvent c;
-      c.index = static_cast<std::size_t>(v.at("index").as_number());
+      c.index = read_at(read_size, v.at("index"), context);
       require(c.index < feed.total_cells, context, "cell index out of range");
-      c.worker = static_cast<int>(v.at("worker").as_number());
-      c.attempt = static_cast<int>(v.at("attempt").as_number());
+      c.worker = read_at(read_i64, v.at("worker"), context);
+      require(c.worker >= 0, context, "negative worker");
+      c.attempt = read_at(read_i64, v.at("attempt"), context);
       c.wall_s = v.at("wall_s").as_number();
-      c.peak_rss_bytes =
-          static_cast<std::int64_t>(v.at("peak_rss_bytes").as_number());
+      c.peak_rss_bytes = read_at(read_i64, v.at("peak_rss_bytes"), context);
       feed.cells.push_back(c);
     } else if (event == "retry") {
-      feed.faults.push_back("cell " + as_count(v.at("index")) +
-                            " retry (attempt " + as_count(v.at("attempt")) +
-                            "): " + v.at("error").as_string());
+      feed.faults.push_back(
+          "cell " + as_count(v.at("index"), context) + " retry (attempt " +
+          as_count(v.at("attempt"), context) + "): " +
+          v.at("error").as_string());
     } else if (event == "poison") {
-      feed.faults.push_back("cell " + as_count(v.at("index")) +
-                            " POISONED after " + as_count(v.at("attempts")) +
-                            " attempts: " + v.at("error").as_string());
+      feed.faults.push_back(
+          "cell " + as_count(v.at("index"), context) + " POISONED after " +
+          as_count(v.at("attempts"), context) +
+          " attempts: " + v.at("error").as_string());
     } else if (event == "progress" || event == "summary") {
       (void)v.at("completed").as_number();
       (void)v.at("total").as_number();
@@ -141,15 +167,13 @@ MetricsFeed parse_metrics(const std::string& path) {
       if (event == "progress") {
         ++feed.progress_events;
       } else {
-        require(v.at("registry").has("counters"), context,
-                "summary registry without counters");
+        check_registry(v, context, event);
         feed.have_summary = true;
         feed.summary = v;
       }
     } else if (event == "worker_summary") {
       (void)v.at("worker").as_number();
-      require(v.at("registry").has("counters"), context,
-              "worker_summary registry without counters");
+      check_registry(v, context, event);
       feed.worker_registries.push_back(v.at("registry"));
     } else {
       require(false, context, "unknown event \"" + event + "\"");
@@ -182,8 +206,8 @@ void print_slowest_cells(std::vector<CellEvent> cells, std::size_t limit) {
                                                        "Wall s", "Peak RSS"});
   for (const CellEvent& c : cells) {
     auto& row = t.row().cell(static_cast<std::int64_t>(c.index));
-    if (with_worker) row.cell(static_cast<std::int64_t>(c.worker));
-    row.cell(static_cast<std::int64_t>(c.attempt))
+    if (with_worker) row.cell(c.worker);
+    row.cell(c.attempt)
         .cell(c.wall_s, 3)
         .cell(format_bytes(c.peak_rss_bytes));
   }
@@ -191,27 +215,28 @@ void print_slowest_cells(std::vector<CellEvent> cells, std::size_t limit) {
 }
 
 void print_worker_utilization(const MetricsFeed& feed) {
-  int max_worker = -1;
-  for (const CellEvent& c : feed.cells) {
-    max_worker = std::max(max_worker, c.worker);
-  }
-  if (max_worker < 0) return;
-  std::vector<std::size_t> cells(static_cast<std::size_t>(max_worker) + 1, 0);
-  std::vector<double> wall(cells.size(), 0.0);
+  // One row per worker that completed a cell: the feed's worker ids are
+  // keys, never sizes.
+  struct Load {
+    std::int64_t cells = 0;
+    double wall_s = 0.0;
+  };
+  std::map<std::int64_t, Load> loads;
   double total_wall = 0.0;
   for (const CellEvent& c : feed.cells) {
-    ++cells[static_cast<std::size_t>(c.worker)];
-    wall[static_cast<std::size_t>(c.worker)] += c.wall_s;
+    Load& load = loads[c.worker];
+    ++load.cells;
+    load.wall_s += c.wall_s;
     total_wall += c.wall_s;
   }
   std::cout << "\nworker utilization:\n";
   TableWriter t({"Worker", "Cells", "Busy s", "Share %"});
-  for (std::size_t w = 0; w < cells.size(); ++w) {
+  for (const auto& [worker, load] : loads) {
     t.row()
-        .cell(static_cast<std::int64_t>(w))
-        .cell(static_cast<std::int64_t>(cells[w]))
-        .cell(wall[w], 3)
-        .cell(total_wall > 0.0 ? 100.0 * wall[w] / total_wall : 0.0, 1);
+        .cell(worker)
+        .cell(load.cells)
+        .cell(load.wall_s, 3)
+        .cell(total_wall > 0.0 ? 100.0 * load.wall_s / total_wall : 0.0, 1);
   }
   t.print(std::cout);
 }
@@ -220,7 +245,7 @@ std::int64_t registry_counter(const JsonValue& registry,
                               const std::string& name) {
   const JsonValue& counters = registry.at("counters");
   if (!counters.has(name)) return 0;
-  return static_cast<std::int64_t>(counters.at(name).as_number());
+  return read_i64(counters.at(name));  // bounded by check_registry
 }
 
 // A counter summed over the coordinator's summary registry and every
@@ -255,16 +280,6 @@ void print_registry_tables(const MetricsFeed& feed) {
               1);
   }
   caches.print(std::cout);
-
-  const std::int64_t flows = feed_counter(feed, "batcher.batched_flows");
-  const std::int64_t passes = feed_counter(feed, "batcher.batch_passes");
-  if (passes > 0) {
-    std::cout << "\nbatcher utilization:\n";
-    TableWriter batcher({"Batched flows", "Passes", "Flows/pass"});
-    batcher.row().cell(flows).cell(passes).cell(
-        static_cast<double>(flows) / static_cast<double>(passes), 2);
-    batcher.print(std::cout);
-  }
 }
 
 int cmd_metrics(const std::string& path) {
@@ -294,15 +309,15 @@ int cmd_runtime(const std::string& path) {
   const JsonValue doc = JsonValue::parse(read_file(path));
   std::vector<CellEvent> cells;
   for_each_result(path, doc, [&](std::int64_t index, const JsonValue& result,
-                                 const std::string&) {
+                                 const std::string& context) {
     if (!result.has("runtime")) return;
     const JsonValue& rt = result.at("runtime");
     CellEvent c;
     c.index = static_cast<std::size_t>(index);
-    c.attempt = static_cast<int>(rt.at("attempt").as_number());
+    c.attempt = read_at(read_i64, rt.at("attempt"), context + ".runtime");
     c.wall_s = rt.at("wall_s").as_number();
     c.peak_rss_bytes =
-        static_cast<std::int64_t>(rt.at("peak_rss_bytes").as_number());
+        read_at(read_i64, rt.at("peak_rss_bytes"), context + ".runtime");
     cells.push_back(c);
   });
   std::cout << path << ": " << cells.size() << "/"
@@ -367,9 +382,9 @@ std::vector<Point> parse_timeline(const JsonValue& t,
     p.forecast_kbps = tuple[1].as_number();
     p.capacity_kbps = tuple[2].as_number();
     p.throughput_kbps = tuple[3].as_number();
-    p.queue_max_packets = static_cast<std::int64_t>(tuple[4].as_number());
-    p.queue_max_bytes = static_cast<std::int64_t>(tuple[5].as_number());
-    p.drops = static_cast<std::int64_t>(tuple[6].as_number());
+    p.queue_max_packets = read_at(read_i64, tuple[4], at);
+    p.queue_max_bytes = read_at(read_i64, tuple[5], at);
+    p.drops = read_at(read_i64, tuple[6], at);
     p.mean_delay_ms = tuple[7].as_number();
     p.max_delay_ms = tuple[8].as_number();
     require(std::isfinite(p.time_s) && p.time_s >= from_s, at,

@@ -33,11 +33,6 @@ void AdaptiveForecastStrategy::advance_tick() {
   for (Member& m : members_) m.filter->evolve();
 }
 
-void AdaptiveForecastStrategy::collect_batch_filters(
-    std::vector<SproutBayesFilter*>& out) {
-  for (Member& m : members_) out.push_back(m.filter.get());
-}
-
 double AdaptiveForecastStrategy::marginal_log_likelihood(const Member& member,
                                                          int packets,
                                                          bool censored) const {

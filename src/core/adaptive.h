@@ -58,11 +58,6 @@ class AdaptiveForecastStrategy : public ForecastStrategy {
   [[nodiscard]] DeliveryForecast make_forecast(TimePoint now) const override;
   [[nodiscard]] double estimated_rate_pps() const override;
 
-  // All member filters are batchable (each groups with other flows sharing
-  // its hypothesis's kernel — the hypothesis grid is usually identical
-  // across flows, so cross-flow members with equal σ/λz batch together).
-  void collect_batch_filters(std::vector<SproutBayesFilter*>& out) override;
-
   // Posterior over hypotheses (sums to one, aligned with params order).
   [[nodiscard]] std::vector<double> hypothesis_weights() const;
   // The currently most plausible hypothesis.

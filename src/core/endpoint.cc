@@ -43,22 +43,10 @@ void SproutEndpoint::start(Duration phase) {
   assert(network_ != nullptr && "attach_network before start");
   assert(!started_);
   started_ = true;
-  if (batcher_ != nullptr) {
-    std::vector<SproutBayesFilter*> filters;
-    receiver_.collect_batch_filters(filters);
-    batcher_->add(std::move(filters), sim_.now() + params_.tick + phase,
-                  params_.tick);
-  }
   sim_.after(params_.tick + phase, [this] { tick(); });
 }
 
 void SproutEndpoint::tick() {
-  // Evolve every same-instant filter across the scenario in one batched
-  // matrix pass before any endpoint's own tick logic runs (bit-identical;
-  // see core/tick_batcher.h).
-  if (batcher_ != nullptr) {
-    batcher_->on_tick(sim_.now());
-  }
   // Receiver first so the forecast piggybacked on this tick's packets is
   // computed from everything that has arrived so far.
   receiver_.tick(sim_.now());

@@ -18,7 +18,6 @@
 #include "core/sender.h"
 #include "core/source.h"
 #include "core/strategy.h"
-#include "core/tick_batcher.h"
 #include "metrics/recorder.h"
 #include "sim/packet.h"
 #include "sim/simulator.h"
@@ -46,11 +45,6 @@ class SproutEndpoint : public PacketSink {
   // Where outgoing packets go (the link ingress).  Must be set before
   // start().
   void attach_network(PacketSink& out) { network_ = &out; }
-
-  // Optional cross-flow evolution batcher (scenario-owned; must outlive the
-  // endpoint).  If set before start(), this endpoint's Bayes filters join
-  // the scenario-wide per-instant batch evolve.
-  void set_evolve_batcher(TickEvolveBatcher* batcher) { batcher_ = batcher; }
 
   // Optional flight-recorder tap (metrics/recorder.h; scenario-owned, must
   // outlive the endpoint).  After every receiver tick the cautious
@@ -90,7 +84,6 @@ class SproutEndpoint : public PacketSink {
   SproutSender sender_;
   DataSource* source_;
   PacketSink* network_ = nullptr;
-  TickEvolveBatcher* batcher_ = nullptr;
   FlowTimelineRecorder* forecast_tap_ = nullptr;
   std::function<void(Packet&&)> tunnel_delivery_;
   std::int64_t flow_id_;

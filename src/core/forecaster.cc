@@ -227,45 +227,4 @@ DeliveryForecast DeliveryForecaster::forecast(const RateDistribution& current,
   return f;
 }
 
-std::vector<DeliveryForecast> DeliveryForecaster::forecast_batch(
-    std::span<const RateDistribution* const> dists, TimePoint now) const {
-  std::vector<DeliveryForecast> out(dists.size());
-  if (dists.empty()) return out;
-  if (obs::enabled()) {
-    static obs::Counter& passes =
-        obs::Registry::instance().counter("forecast.batch_passes");
-    static obs::Counter& flows =
-        obs::Registry::instance().counter("forecast.batched_flows");
-    passes.add();
-    flows.add(static_cast<std::int64_t>(dists.size()));
-  }
-  if (dists.size() == 1) {
-    out[0] = forecast(*dists[0], now);
-    return out;
-  }
-  std::vector<RateDistribution> evolved(dists.size(),
-                                        RateDistribution(params_.num_bins));
-  std::vector<RateDistribution*> ptrs(dists.size());
-  std::vector<int> floors(dists.size(), 0);
-  for (std::size_t f = 0; f < dists.size(); ++f) {
-    evolved[f] = *dists[f];
-    ptrs[f] = &evolved[f];
-    out[f].origin = now;
-    out[f].tick = params_.tick;
-    out[f].cumulative_bytes.reserve(
-        static_cast<std::size_t>(params_.forecast_horizon_ticks));
-  }
-  for (int h = 1; h <= params_.forecast_horizon_ticks; ++h) {
-    // One matrix pass evolves every flow's private copy (bit-identical to
-    // the serial per-flow evolve); quantiles stay per-flow.
-    transitions_->evolve_batch(ptrs);
-    for (std::size_t f = 0; f < dists.size(); ++f) {
-      floors[f] = quantile_packets(evolved[f], h, floors[f]);
-      out[f].cumulative_bytes.push_back(static_cast<ByteCount>(floors[f]) *
-                                        params_.mtu);
-    }
-  }
-  return out;
-}
-
 }  // namespace sprout

@@ -14,7 +14,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "core/params.h"
@@ -69,13 +68,6 @@ class DeliveryForecaster {
   // copy forward tick by tick.  `now` stamps the forecast origin.
   [[nodiscard]] DeliveryForecast forecast(const RateDistribution& current,
                                           TimePoint now) const;
-
-  // Forecasts several posteriors in one pass: the per-horizon evolution of
-  // all private copies runs through TransitionMatrix::evolve_batch, so N
-  // co-active flows pay each horizon's matrix traversal once.  Entry f is
-  // bit-identical to forecast(*dists[f], now).
-  [[nodiscard]] std::vector<DeliveryForecast> forecast_batch(
-      std::span<const RateDistribution* const> dists, TimePoint now) const;
 
   // The (100-confidence)th percentile of the cumulative-delivery mixture at
   // horizon h (1-based), in packets.  Exposed for tests and ablations.

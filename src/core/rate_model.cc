@@ -241,47 +241,6 @@ void TransitionMatrix::build_band(double epsilon) {
   }
   mean_bandwidth_ =
       static_cast<double>(total_width) / static_cast<double>(n_);
-  build_blocks();
-}
-
-void TransitionMatrix::build_blocks() {
-  const std::size_t nblocks = (n_ + 3) / 4;
-  block_off_.resize(nblocks);
-  block_row_begin_.resize(nblocks);
-  block_row_end_.resize(nblocks);
-  block_vals_.clear();
-  for (std::size_t b = 0; b < nblocks; ++b) {
-    const std::size_t j0 = 4 * b;
-    // Rows whose band overlaps columns [j0, j0+4).  Bands are intervals, so
-    // we scan for the first and last overlapping row; rows in between
-    // without overlap (possible only if extents were non-monotone) simply
-    // contribute an all-zero tile.
-    std::size_t begin = n_;
-    std::size_t end = 0;
-    for (std::size_t i = 0; i < n_; ++i) {
-      const auto lo = static_cast<std::size_t>(band_lo_[i]);
-      const auto hi = static_cast<std::size_t>(band_hi_[i]);
-      if (lo < j0 + 4 && hi > j0) {
-        begin = std::min(begin, i);
-        end = std::max(end, i + 1);
-      }
-    }
-    if (begin >= end) {
-      begin = end = 0;
-    }
-    block_row_begin_[b] = static_cast<int>(begin);
-    block_row_end_[b] = static_cast<int>(end);
-    block_off_[b] = block_vals_.size();
-    for (std::size_t i = begin; i < end; ++i) {
-      const auto lo = static_cast<std::size_t>(band_lo_[i]);
-      const auto hi = static_cast<std::size_t>(band_hi_[i]);
-      for (std::size_t l = 0; l < 4; ++l) {
-        const std::size_t j = j0 + l;
-        const bool covered = j < n_ && j >= lo && j < hi;
-        block_vals_.push_back(covered ? band_[band_off_[i] + j - lo] : 0.0);
-      }
-    }
-  }
 }
 
 namespace {
@@ -294,13 +253,16 @@ std::vector<double>& evolve_scratch(std::size_t n) {
   return scratch;
 }
 
-// Per-pass kernel dispatch tally.  The wrappers in util/kernels.cc carry no
+// Per-pass axpy-dispatch tally.  The wrappers in util/kernels.cc carry no
 // instrumentation (they are the hottest call sites in the tree), so each
 // evolve pass counts its own kernel invocations in a local and flushes once
 // here when obs is on.
-void tally_kernel_calls(obs::Counter& scalar, obs::Counter& simd,
-                        std::int64_t calls) {
+void tally_axpy_calls(std::int64_t calls) {
   if (calls == 0) return;
+  static obs::Counter& scalar =
+      obs::Registry::instance().counter("kernels.axpy.scalar");
+  static obs::Counter& simd =
+      obs::Registry::instance().counter("kernels.axpy.avx2");
   (std::strcmp(kernels::active_backend(), "scalar") == 0 ? scalar : simd)
       .add(calls);
 }
@@ -325,13 +287,7 @@ void TransitionMatrix::evolve(RateDistribution& dist) const {
     kernels::axpy(scratch.data() + lo, &band_[band_off_[i]], pi, width);
     ++axpy_calls;
   }
-  if (obs::enabled()) {
-    static obs::Counter& scalar =
-        obs::Registry::instance().counter("kernels.axpy.scalar");
-    static obs::Counter& simd =
-        obs::Registry::instance().counter("kernels.axpy.avx2");
-    tally_kernel_calls(scalar, simd, axpy_calls);
-  }
+  if (obs::enabled()) tally_axpy_calls(axpy_calls);
   dist.mutable_probabilities() = scratch;
 }
 
@@ -355,118 +311,11 @@ void TransitionMatrix::evolve_dense(RateDistribution& dist) const {
   dist.mutable_probabilities() = scratch;
 }
 
-void TransitionMatrix::evolve_batch(
-    std::span<RateDistribution* const> dists) const {
-  if (dists.empty()) return;
-  if (dists.size() == 1) {
-    evolve(*dists[0]);
-    return;
-  }
-  if (obs::enabled()) {
-    static obs::Counter& passes =
-        obs::Registry::instance().counter("filter.evolve.batch_passes");
-    static obs::Counter& flows_evolved =
-        obs::Registry::instance().counter("filter.evolve.batched_flows");
-    passes.add();
-    flows_evolved.add(static_cast<std::int64_t>(dists.size()));
-  }
-  const std::size_t flows = dists.size();
-  // Block-column sweep over the precomputed tiles (build_blocks): for each
-  // 4-column output block, every flow's accumulator lives in a register
-  // across the block's whole row range while the value tiles stream once
-  // for all flows — no scratch traffic in the inner loop at all.
-  //
-  // Bit-identity with serial evolve(): per output column the kernel adds
-  // pi[i] * value in ascending-row order from +0.0, the same sequence the
-  // row-by-row axpy accumulation produces.  Rows the serial path skips
-  // (pi = 0) or does not cover (zero-padded tile lanes) contribute exactly
-  // +0.0, which cannot change the bits of a non-negative accumulator.
-  const std::size_t nblocks = block_row_begin_.size();
-  const std::size_t npad = nblocks * 4;  // stripes padded to the block grid
-  thread_local std::vector<double> scratch;
-  thread_local std::vector<const double*> coeffs;
-  thread_local std::vector<double*> outs;
-  scratch.resize(flows * npad);  // every stripe block is overwritten below
-  coeffs.resize(flows);
-  outs.resize(flows);
-  std::int64_t ws4_calls = 0;
-  for (std::size_t b = 0; b < nblocks; ++b) {
-    const auto begin = static_cast<std::size_t>(block_row_begin_[b]);
-    const std::size_t rows =
-        static_cast<std::size_t>(block_row_end_[b]) - begin;
-    for (std::size_t f = 0; f < flows; ++f) {
-      outs[f] = scratch.data() + f * npad + 4 * b;
-    }
-    if (rows == 0) {
-      // No row reaches these columns; a serial evolve leaves them zero.
-      for (std::size_t f = 0; f < flows; ++f) {
-        outs[f][0] = outs[f][1] = outs[f][2] = outs[f][3] = 0.0;
-      }
-      continue;
-    }
-    for (std::size_t f = 0; f < flows; ++f) {
-      coeffs[f] = dists[f]->probabilities().data() + begin;
-    }
-    kernels::weighted_sum4(&block_vals_[block_off_[b]], rows, coeffs.data(),
-                           flows, outs.data());
-    ++ws4_calls;
-  }
-  if (obs::enabled()) {
-    static obs::Counter& scalar =
-        obs::Registry::instance().counter("kernels.weighted_sum4.scalar");
-    static obs::Counter& simd =
-        obs::Registry::instance().counter("kernels.weighted_sum4.avx2");
-    tally_kernel_calls(scalar, simd, ws4_calls);
-  }
-  for (std::size_t f = 0; f < flows; ++f) {
-    std::vector<double>& p = dists[f]->mutable_probabilities();
-    std::copy(scratch.begin() + static_cast<std::ptrdiff_t>(f * npad),
-              scratch.begin() + static_cast<std::ptrdiff_t>(f * npad + n_),
-              p.begin());
-  }
-}
-
 SproutBayesFilter::SproutBayesFilter(const SproutParams& params)
     : params_(params),
       transitions_(TransitionMatrixCache::get(params)),
       dist_(params.num_bins),
       log_prior_(static_cast<std::size_t>(params.num_bins)) {}
-
-void SproutBayesFilter::evolve() {
-  if (batch_evolved_) {
-    // This tick's evolution already ran through evolve_batch.
-    batch_evolved_ = false;
-    return;
-  }
-  transitions_->evolve(dist_);
-}
-
-void SproutBayesFilter::evolve_batch(
-    std::span<SproutBayesFilter* const> filters) {
-  // Group by shared kernel; order within a group follows caller order, and
-  // per-flow arithmetic is order-independent across flows anyway.
-  std::vector<SproutBayesFilter*> pending(filters.begin(), filters.end());
-  std::vector<RateDistribution*> group;
-  for (std::size_t g = 0; g < pending.size(); ++g) {
-    SproutBayesFilter* lead = pending[g];
-    if (lead == nullptr) continue;
-    assert(!lead->batch_evolved_);
-    group.clear();
-    group.push_back(&lead->dist_);
-    for (std::size_t o = g + 1; o < pending.size(); ++o) {
-      SproutBayesFilter* other = pending[o];
-      if (other == nullptr) continue;
-      if (other->transitions_.get() == lead->transitions_.get()) {
-        assert(!other->batch_evolved_);
-        group.push_back(&other->dist_);
-        other->batch_evolved_ = true;
-        pending[o] = nullptr;
-      }
-    }
-    lead->transitions_->evolve_batch(group);
-    lead->batch_evolved_ = true;
-  }
-}
 
 void SproutBayesFilter::observe(int packets, double fraction) {
   observe_impl(packets, fraction, /*censored=*/false);

@@ -11,7 +11,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <utility>
 #include <vector>
 
@@ -50,10 +49,11 @@ class RateDistribution {
 // TransitionMatrixCache below.
 //
 // Two evolution paths are built from the same Gaussian rows:
-//  * banded (default): per-row [lo, hi) extents retaining ≥ 1−ε of the
-//    row's mass (ε = SproutParams::band_epsilon), packed contiguously and
+//  * banded: per-row [lo, hi) extents retaining ≥ 1−ε of the row's mass
+//    (ε = SproutParams::band_epsilon), packed contiguously and
 //    renormalized, evolved in O(bins · bandwidth) with vectorized
-//    accumulation (util/kernels.h);
+//    accumulation (util/kernels.h) — the one evolve every filter and
+//    forecast runs;
 //  * dense: the full bins² pass, bit-for-bit the historical arithmetic,
 //    kept as the kernel-level oracle for tests and benches.
 // ε = 0 trims only entries that are EXACTLY zero (underflowed Gaussian
@@ -69,12 +69,6 @@ class TransitionMatrix {
 
   // p <- p * M through the full dense matrix: the exact-reference path.
   void evolve_dense(RateDistribution& dist) const;
-
-  // Pushes every distribution through one banded matrix pass: rows stream
-  // once and are applied to all flows (GEMM-shaped loop order), so N
-  // co-active Sprout flows pay the matrix traversal once instead of N
-  // times.  Bit-identical to calling evolve() on each entry in order.
-  void evolve_batch(std::span<RateDistribution* const> dists) const;
 
   [[nodiscard]] double entry(int from, int to) const {
     return m_[static_cast<std::size_t>(from) * n_ + static_cast<std::size_t>(to)];
@@ -92,7 +86,6 @@ class TransitionMatrix {
 
  private:
   void build_band(double epsilon);
-  void build_blocks();
 
   std::size_t n_;
   std::vector<double> m_;  // row-major: m_[from][to], exact rows
@@ -105,16 +98,6 @@ class TransitionMatrix {
   int max_bandwidth_ = 0;
   double mean_bandwidth_ = 0.0;
   double band_epsilon_ = 0.0;
-  // Block-column layout for evolve_batch: for each 4-column output block b
-  // (columns [4b, 4b+4)), the range of rows whose band overlaps the block
-  // and a repacked (rows × 4) tile of their band values at those columns,
-  // zero where a row's band does not cover a column.  Lets the batched
-  // kernel keep per-flow accumulators in registers for a whole block while
-  // streaming each tile once for all flows.
-  std::vector<double> block_vals_;
-  std::vector<std::size_t> block_off_;
-  std::vector<int> block_row_begin_;
-  std::vector<int> block_row_end_;
 };
 
 // Process-wide cache of transition matrices, keyed by the SproutParams
@@ -138,18 +121,8 @@ class SproutBayesFilter {
  public:
   explicit SproutBayesFilter(const SproutParams& params);
 
-  // Step 1: Brownian evolution across one tick.  A no-op consuming the
-  // pending-batch mark if this tick's evolution already ran through
-  // evolve_batch (see below).
-  void evolve();
-
-  // Evolves several filters in one matrix pass per shared kernel.  Filters
-  // are grouped by their (cache-shared) TransitionMatrix; each group runs
-  // TransitionMatrix::evolve_batch, and each batched filter's next evolve()
-  // call becomes a no-op, so callers that cannot reorder the per-filter
-  // tick logic (the scenario event loop) can hoist just the evolution.
-  // Bit-identical to calling evolve() on each filter in order.
-  static void evolve_batch(std::span<SproutBayesFilter* const> filters);
+  // Step 1: Brownian evolution across one tick.
+  void evolve() { transitions_->evolve(dist_); }
 
   // Steps 2+3: Bayesian update on `packets` observed during a tick covering
   // `fraction` of the tick length (1.0 = full tick), then renormalize.
@@ -163,10 +136,6 @@ class SproutBayesFilter {
   [[nodiscard]] const RateDistribution& distribution() const { return dist_; }
   [[nodiscard]] const SproutParams& params() const { return params_; }
   [[nodiscard]] double mean_rate_pps() const { return dist_.mean(params_); }
-  // Identity of the cache-shared kernel (the evolve_batch grouping key).
-  [[nodiscard]] const TransitionMatrix* transition_matrix() const {
-    return transitions_.get();
-  }
 
   void reset() { dist_.reset_uniform(); }
 
@@ -177,7 +146,6 @@ class SproutBayesFilter {
   std::shared_ptr<const TransitionMatrix> transitions_;  // cache-shared
   RateDistribution dist_;
   std::vector<double> log_prior_;  // scratch for the log-space update
-  bool batch_evolved_ = false;     // evolve_batch already ran this tick
 };
 
 }  // namespace sprout

@@ -50,11 +50,6 @@ class SproutReceiver {
   [[nodiscard]] std::int64_t ticks_observed() const { return ticks_observed_; }
   [[nodiscard]] std::int64_t ticks_skipped() const { return ticks_skipped_; }
 
-  // Passthrough to the strategy's batchable filters (core/tick_batcher.h).
-  void collect_batch_filters(std::vector<SproutBayesFilter*>& out) {
-    strategy_->collect_batch_filters(out);
-  }
-
  private:
   SproutParams params_;
   std::unique_ptr<ForecastStrategy> strategy_;

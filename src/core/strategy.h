@@ -7,7 +7,6 @@
 #pragma once
 
 #include <memory>
-#include <vector>
 
 #include "core/forecaster.h"
 #include "core/params.h"
@@ -36,12 +35,6 @@ class ForecastStrategy {
 
   // Point estimate of the current rate (diagnostics/plots).
   [[nodiscard]] virtual double estimated_rate_pps() const = 0;
-
-  // Appends the Bayes filters whose per-tick evolution may be hoisted into
-  // a cross-flow batch (see SproutBayesFilter::evolve_batch and
-  // core/tick_batcher.h).  Strategies without batchable filters (EWMA,
-  // empirical) append nothing.
-  virtual void collect_batch_filters(std::vector<SproutBayesFilter*>&) {}
 };
 
 // The paper's Bayesian filter + cautious percentile forecast.
@@ -62,10 +55,6 @@ class BayesianForecastStrategy : public ForecastStrategy {
   }
 
   [[nodiscard]] const SproutBayesFilter& filter() const { return filter_; }
-
-  void collect_batch_filters(std::vector<SproutBayesFilter*>& out) override {
-    out.push_back(&filter_);
-  }
 
  private:
   SproutBayesFilter filter_;

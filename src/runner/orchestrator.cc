@@ -198,16 +198,6 @@ struct RetryEntry {
   Clock::time_point not_before;
 };
 
-double lpt_makespan(std::vector<double> costs, int bins) {
-  if (bins < 1) bins = 1;
-  std::sort(costs.begin(), costs.end(), std::greater<>());
-  std::vector<double> load(static_cast<std::size_t>(bins), 0.0);
-  for (const double c : costs) {
-    *std::min_element(load.begin(), load.end()) += c;
-  }
-  return load.empty() ? 0.0 : *std::max_element(load.begin(), load.end());
-}
-
 std::string describe_status(int status) {
   if (WIFSIGNALED(status)) {
     return "worker killed by signal " + std::to_string(WTERMSIG(status));
@@ -839,11 +829,9 @@ class Coordinator {
     line << "orchestrate: " << completed_count_ << "/" << total_ << " cells";
     if (!poisoned_.empty()) line << " (" << poisoned_.size() << " poisoned)";
     if (!final_line) {
-      std::vector<double> remaining;
+      std::vector<std::size_t> remaining;
       for (std::size_t i = 0; i < total_; ++i) {
-        if (!completed_[i] && !poisoned_flag_[i]) {
-          remaining.push_back(estimated_cost(spec_.cells[i]));
-        }
+        if (!completed_[i] && !poisoned_flag_[i]) remaining.push_back(i);
       }
       const std::size_t live = std::max<std::size_t>(1, live_workers());
       const double elapsed =
@@ -851,10 +839,19 @@ class Coordinator {
       if (executed_cost_ > 0.0 && elapsed > 0.0 && !remaining.empty()) {
         // ETA = LPT makespan of what's left over the live workers, at the
         // per-worker rate this run has actually been retiring cost.
+        double makespan = 0.0;
+        for (const std::vector<std::size_t>& bucket :
+             lpt_partition(spec_.cells, std::move(remaining),
+                           static_cast<int>(live))) {
+          double cost = 0.0;
+          for (const std::size_t i : bucket) {
+            cost += estimated_cost(spec_.cells[i]);
+          }
+          makespan = std::max(makespan, cost);
+        }
         const double rate =
             executed_cost_ / elapsed / static_cast<double>(live);
-        const double eta =
-            lpt_makespan(std::move(remaining), static_cast<int>(live)) / rate;
+        const double eta = makespan / rate;
         line << ", ~" << format_double(eta, 1) << " s left on " << live
              << " worker" << (live == 1 ? "" : "s");
       }

@@ -90,10 +90,6 @@ class SproutFlow : public SchemeFlow {
         measured_(make_measured(ctx, rx_.get())) {
     tx_->attach_network(ctx.forward_link);
     rx_->attach_network(ctx.reverse_link);
-    if (ctx.evolve_batcher != nullptr) {
-      tx_->set_evolve_batcher(ctx.evolve_batcher);
-      rx_->set_evolve_batcher(ctx.evolve_batcher);
-    }
     // The rx_ endpoint receives the flow's data, so ITS receiver infers
     // the forward link — that forecast is the one a timeline plots
     // against the forward link's realized capacity.

@@ -27,8 +27,6 @@
 
 namespace sprout {
 
-class TickEvolveBatcher;
-
 // When set on a FlowContext, the flow's MeasuredSink runs FlowMetrics in
 // streaming mode: per-packet delays fold into a fixed-bin histogram over
 // [from, to) instead of a retained delivery log.  Tower scenarios set this
@@ -52,10 +50,6 @@ struct FlowContext {
   const Trace& forward_trace;   // ground truth (omniscient baseline scheme)
   Duration propagation_delay;
   Duration run_time;
-  // Scenario-wide cross-flow evolution batcher (core/tick_batcher.h); null
-  // when the scenario runs without one.  Sprout-family flows register their
-  // endpoints so same-instant Bayes-filter evolutions merge.
-  TickEvolveBatcher* evolve_batcher = nullptr;
   // Non-null => the flow's measured sink aggregates streaming metrics
   // instead of retaining delivery records (tower scenarios).
   const StreamingMetricsConfig* streaming_metrics = nullptr;

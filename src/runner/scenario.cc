@@ -13,7 +13,6 @@
 #include "aqm/pie.h"
 #include "cc/cubic.h"
 #include "cc/tcp_endpoint.h"
-#include "core/tick_batcher.h"
 #include "link/cellsim.h"
 #include "metrics/flow_metrics.h"
 #include "obs/metrics.h"
@@ -643,9 +642,7 @@ ScenarioResult run_flows(const ScenarioSpec& spec, const ResolvedLink& link) {
   }
 
   // Declared before the flows: each SchemeFlow holds references to its
-  // gates and (Sprout family) the batcher, so both must outlive the flows
-  // at scope exit.
-  TickEvolveBatcher evolve_batcher;
+  // gates, so they must outlive the flows at scope exit.
   std::vector<std::unique_ptr<GateSink>> gates;
   std::vector<std::unique_ptr<SchemeFlow>> flows;
   flows.reserve(flow_specs.size());
@@ -672,7 +669,6 @@ ScenarioResult run_flows(const ScenarioSpec& spec, const ResolvedLink& link) {
                     fwd_link.trace(),
                     spec.propagation_delay_fwd,
                     spec.run_time,
-                    &evolve_batcher,
                     /*streaming_metrics=*/nullptr,
                     &delay_cfgs[f],
                     spec.record_timeline ? flow_recs[f].get() : nullptr};

@@ -13,6 +13,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <unordered_set>
 #include <utility>
 
 #include "util/table.h"
@@ -115,7 +116,8 @@ SweepResult run_sweep(const SweepSpec& spec, int threads) {
 }
 
 std::vector<std::vector<std::size_t>> lpt_partition(
-    const std::vector<ScenarioSpec>& cells, int shard_count) {
+    const std::vector<ScenarioSpec>& cells, std::vector<std::size_t> indices,
+    int shard_count) {
   if (shard_count < 1) {
     throw std::invalid_argument("shard count must be >= 1, got " +
                                 std::to_string(shard_count));
@@ -123,9 +125,7 @@ std::vector<std::vector<std::size_t>> lpt_partition(
   std::vector<std::vector<std::size_t>> buckets(
       static_cast<std::size_t>(shard_count));
   std::vector<double> loads(buckets.size(), 0.0);
-  std::vector<std::size_t> all(cells.size());
-  std::iota(all.begin(), all.end(), std::size_t{0});
-  for (const std::size_t i : longest_first_order(cells, std::move(all))) {
+  for (const std::size_t i : longest_first_order(cells, std::move(indices))) {
     const auto lightest = static_cast<std::size_t>(
         std::min_element(loads.begin(), loads.end()) - loads.begin());
     buckets[lightest].push_back(i);
@@ -135,6 +135,13 @@ std::vector<std::vector<std::size_t>> lpt_partition(
     std::sort(bucket.begin(), bucket.end());
   }
   return buckets;
+}
+
+std::vector<std::vector<std::size_t>> lpt_partition(
+    const std::vector<ScenarioSpec>& cells, int shard_count) {
+  std::vector<std::size_t> all(cells.size());
+  std::iota(all.begin(), all.end(), std::size_t{0});
+  return lpt_partition(cells, std::move(all), shard_count);
 }
 
 SweepResult merge_shards(std::vector<ShardResult> shards) {
@@ -158,33 +165,47 @@ SweepResult merge_shards(std::vector<ShardResult> shards) {
     }
   }
 
-  SweepResult merged;
-  merged.fingerprint = fingerprint;
-  merged.cell_fingerprints.resize(total);
-  merged.cells.resize(total);
-  std::vector<bool> covered(total, false);
+  // Coverage is checked on the records themselves before anything is sized
+  // by `total`: a journal header's claim alone must not drive an
+  // allocation.
+  std::vector<JournalRecord*> records;
   for (ShardResult& s : shards) {
     for (JournalRecord& record : s.records) {
-      const std::size_t i = record.index;
-      if (i >= total) {
-        throw std::runtime_error("shard covers cell " + std::to_string(i) +
+      if (record.index >= total) {
+        throw std::runtime_error("shard covers cell " +
+                                 std::to_string(record.index) +
                                  ", but the grid has only " +
                                  std::to_string(total) + " cells");
       }
-      if (covered[i]) {
-        throw std::runtime_error("cell " + std::to_string(i) +
-                                 " is covered by more than one shard");
-      }
-      covered[i] = true;
-      merged.cell_fingerprints[i] = record.fingerprint;
-      merged.cells[i] = std::move(record.result);
+      records.push_back(&record);
     }
   }
-  for (std::size_t i = 0; i < total; ++i) {
-    if (!covered[i]) {
-      throw std::runtime_error("cell " + std::to_string(i) +
+  std::sort(records.begin(), records.end(),
+            [](const JournalRecord* a, const JournalRecord* b) {
+              return a->index < b->index;
+            });
+  for (std::size_t k = 1; k < records.size(); ++k) {
+    if (records[k]->index == records[k - 1]->index) {
+      throw std::runtime_error("cell " + std::to_string(records[k]->index) +
+                               " is covered by more than one shard");
+    }
+  }
+  // Sorted and distinct: the first k whose record is not cell k is the
+  // first gap, and this loop ends there at the latest.
+  for (std::size_t k = 0; k < total; ++k) {
+    if (k == records.size() || records[k]->index != k) {
+      throw std::runtime_error("cell " + std::to_string(k) +
                                " is covered by no shard");
     }
+  }
+
+  SweepResult merged;
+  merged.fingerprint = fingerprint;
+  merged.cell_fingerprints.reserve(records.size());
+  merged.cells.reserve(records.size());
+  for (JournalRecord* record : records) {
+    merged.cell_fingerprints.push_back(record->fingerprint);
+    merged.cells.push_back(std::move(record->result));
   }
   return merged;
 }
@@ -214,6 +235,42 @@ void verify_sweep_result(const SweepResult& merged, const SweepSpec& spec) {
 }
 
 // --- JSON ---------------------------------------------------------------
+
+std::uint64_t read_u64(const JsonValue& v) {
+  const std::string& s = v.as_string();
+  if (s.empty() || s.find_first_not_of("0123456789") != std::string::npos) {
+    throw std::runtime_error("JSON: malformed unsigned integer \"" + s +
+                             "\"");
+  }
+  try {
+    return std::stoull(s);
+  } catch (const std::out_of_range&) {
+    throw std::runtime_error("JSON: unsigned integer overflow in \"" + s +
+                             "\"");
+  }
+}
+
+std::int64_t read_i64(const JsonValue& v) {
+  // Values past 2^53 would round silently in the parse, so reject them
+  // loudly instead.
+  constexpr double kExactLimit = 9007199254740992.0;  // 2^53
+  const double d = v.as_number();
+  if (!(std::fabs(d) <= kExactLimit)) {
+    throw std::runtime_error(
+        "JSON: integer exceeds the 2^53 exact range of a double");
+  }
+  const auto i = static_cast<std::int64_t>(d);
+  if (static_cast<double>(i) != d) {
+    throw std::runtime_error("JSON: expected an integer, got a fraction");
+  }
+  return i;
+}
+
+std::size_t read_size(const JsonValue& v) {
+  const std::int64_t i = read_i64(v);
+  if (i < 0) throw std::runtime_error("JSON: negative cell index or total");
+  return static_cast<std::size_t>(i);
+}
 
 namespace {
 
@@ -247,45 +304,6 @@ double read_double(const JsonValue& v) {
 // as decimal strings.
 void json_u64(std::ostream& os, std::uint64_t v) {
   os << '"' << v << '"';
-}
-
-std::uint64_t read_u64(const JsonValue& v) {
-  const std::string& s = v.as_string();
-  if (s.empty() || s.find_first_not_of("0123456789") != std::string::npos) {
-    throw std::runtime_error("JSON: malformed unsigned integer \"" + s +
-                             "\"");
-  }
-  try {
-    return std::stoull(s);
-  } catch (const std::out_of_range&) {
-    throw std::runtime_error("JSON: unsigned integer overflow in \"" + s +
-                             "\"");
-  }
-}
-
-// Counters (bytes, packets, drops) travel as plain JSON numbers, which a
-// double represents exactly up to 2^53 — ~9 PB of delivered bytes, far
-// above any simulable run.  Values past the bound would round silently in
-// the parse, so reject them loudly instead.
-std::int64_t read_i64(const JsonValue& v) {
-  constexpr double kExactLimit = 9007199254740992.0;  // 2^53
-  const double d = v.as_number();
-  if (!(std::fabs(d) <= kExactLimit)) {
-    throw std::runtime_error(
-        "JSON: integer counter exceeds the 2^53 exact range of a double");
-  }
-  const auto i = static_cast<std::int64_t>(d);
-  if (static_cast<double>(i) != d) {
-    throw std::runtime_error("JSON: expected an integer, got a fraction");
-  }
-  return i;
-}
-
-// Cell indices and cell totals.
-std::size_t read_size(const JsonValue& v) {
-  const std::int64_t i = read_i64(v);
-  if (i < 0) throw std::runtime_error("JSON: negative cell index or total");
-  return static_cast<std::size_t>(i);
 }
 
 // Flows and results still carry the "series" / "capacity_series" members
@@ -688,7 +706,7 @@ ShardResult read_journal(std::string_view text, const std::string& label,
                          bool allow_truncated_tail) {
   ShardResult shard;
   bool have_header = false;
-  std::vector<bool> seen;
+  std::unordered_set<std::size_t> seen;
   std::size_t line_no = 0;
   std::size_t pos = 0;
   while (pos < text.size()) {
@@ -717,7 +735,6 @@ ShardResult read_journal(std::string_view text, const std::string& label,
         shard.sweep_fingerprint = read_u64(doc.at("sweep_fingerprint"));
         shard.total_cells = read_size(doc.at("total_cells"));
         (void)read_size(doc.at("journal"));  // informational, but required
-        seen.assign(shard.total_cells, false);
         have_header = true;
         continue;
       }
@@ -728,11 +745,10 @@ ShardResult read_journal(std::string_view text, const std::string& label,
                                  std::to_string(shard.total_cells) +
                                  "-cell grid");
       }
-      if (seen[record.index]) {
+      if (!seen.insert(record.index).second) {
         throw std::runtime_error("cell " + std::to_string(record.index) +
                                  " journaled twice");
       }
-      seen[record.index] = true;
       shard.records.push_back(std::move(record));
     } catch (const std::exception& e) {
       throw std::runtime_error(label + ": line " + std::to_string(line_no) +

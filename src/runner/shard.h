@@ -40,6 +40,8 @@
 
 namespace sprout {
 
+class JsonValue;
+
 // An ordered grid of independent cells — what a sharded sweep distributes.
 struct SweepSpec {
   std::vector<ScenarioSpec> cells;
@@ -91,20 +93,29 @@ struct SweepResult {
 // run_shard over every cell of the grid, merged into grid order.
 [[nodiscard]] SweepResult run_sweep(const SweepSpec& spec, int threads = 0);
 
-// The static cut: N slices balanced by LPT (longest processing time
-// first).  Cells are visited in longest_first_order and each goes to the
-// currently lightest shard (ties by lowest shard id); the classic greedy
-// bound keeps every shard within 4/3 of the optimal makespan.  On a grid
-// of equal-cost cells this deals cell i to shard i mod N.  Every cell
-// appears in exactly one bucket; each bucket is sorted ascending.  Throws
+// The static cut: cells `indices` of the grid in N slices balanced by LPT
+// (longest processing time first).  Cells are visited in
+// longest_first_order and each goes to the currently lightest shard (ties
+// by lowest shard id); the classic greedy bound keeps every shard within
+// 4/3 of the optimal makespan.  On equal-cost cells this deals the k-th
+// listed index, in ascending order, to shard k mod N.  Every listed cell
+// appears in exactly one bucket; each bucket is sorted ascending.  The
+// same greedy loop prices `spec_lint --wall-clock` and the orchestrator's
+// ETA (the largest bucket's summed estimated_cost).  Throws
 // std::invalid_argument for a non-positive shard_count.
+[[nodiscard]] std::vector<std::vector<std::size_t>> lpt_partition(
+    const std::vector<ScenarioSpec>& cells, std::vector<std::size_t> indices,
+    int shard_count);
+// Every cell of the grid.
 [[nodiscard]] std::vector<std::vector<std::size_t>> lpt_partition(
     const std::vector<ScenarioSpec>& cells, int shard_count);
 
 // Merges executed slices into one SweepResult.  Throws std::runtime_error
 // when the slices are not a clean partition of one grid: disagreeing sweep
 // fingerprints or cell totals, an out-of-range cell index, a cell covered
-// twice (collision), or a cell covered never (coverage gap).
+// twice (collision), or a cell covered never (coverage gap, naming the
+// first uncovered cell).  Nothing is sized by the slices' claimed cell
+// total, so a forged journal header cannot exhaust memory.
 [[nodiscard]] SweepResult merge_shards(std::vector<ShardResult> shards);
 
 // Checks a merged result against the grid it claims to represent: the
@@ -118,6 +129,18 @@ void verify_sweep_result(const SweepResult& merged, const SweepSpec& spec);
 // corrupt input, a wrong schema tag, or inconsistent cell data.
 void write_sweep_json(std::ostream& os, const SweepResult& sweep);
 [[nodiscard]] SweepResult read_sweep_json(std::string_view text);
+
+// The bounded integer readers behind every strict reader of sweep files,
+// journals and telemetry feeds (sweep_report's included).  Counters
+// (bytes, packets, drops) travel as plain JSON numbers, which a double
+// represents exactly up to 2^53 — ~9 PB of delivered bytes, far above any
+// simulable run.  read_i64 takes an integral number within ±2^53;
+// read_size also refuses a negative one (cell indices and totals).  u64
+// fingerprints exceed 2^53, so they travel as decimal strings: read_u64.
+// Each throws std::runtime_error on anything else (a fraction, 1e30).
+[[nodiscard]] std::int64_t read_i64(const JsonValue& v);
+[[nodiscard]] std::size_t read_size(const JsonValue& v);
+[[nodiscard]] std::uint64_t read_u64(const JsonValue& v);
 
 // --- journals -------------------------------------------------------------
 //
@@ -152,6 +175,7 @@ void write_journal_record(std::ostream& os, const JournalRecord& record);
 // strict merge path) the same wound throws.  A malformed line anywhere
 // ELSE, an integer outside its range, a duplicate or out-of-range cell
 // index, or a missing/foreign header always throws std::runtime_error.
+// The header's cell total bounds indices but sizes nothing.
 [[nodiscard]] ShardResult read_journal(std::string_view text,
                                        const std::string& label,
                                        bool allow_truncated_tail);

@@ -7,7 +7,6 @@
 #include <tuple>
 #include <utility>
 
-#include "core/tick_batcher.h"
 #include "link/cellsim.h"
 #include "link/tower_cell.h"
 #include "metrics/flow_metrics.h"
@@ -204,8 +203,6 @@ ScenarioResult run_tower(const ScenarioSpec& spec) {
   const TimePoint meas_from = TimePoint{} + spec.warmup;
   const TimePoint meas_to = TimePoint{} + spec.run_time;
 
-  TickEvolveBatcher evolve_batcher;
-
   struct UserRun {
     std::unique_ptr<RelaySink> egress;
     std::unique_ptr<CellsimLink> link;
@@ -276,7 +273,6 @@ ScenarioResult run_tower(const ScenarioSpec& spec) {
                       u.link->trace(),
                       spec.propagation_delay_fwd,
                       spec.run_time,
-                      &evolve_batcher,
                       &streaming,
                       /*delay_histogram=*/nullptr,
                       spec.record_timeline ? flow_recs.back().get() : nullptr};

@@ -26,29 +26,6 @@ void axpy_scalar(double* dst, const double* src, double a, std::size_t n) {
   for (std::size_t j = 0; j < n; ++j) dst[j] += a * src[j];
 }
 
-void weighted_sum4_scalar(const double* vals, std::size_t rows,
-                          const double* const* coeffs, std::size_t k,
-                          double* const* outs) {
-  for (std::size_t f = 0; f < k; ++f) {
-    const double* c = coeffs[f];
-    // One accumulator per lane, rows ascending — the AVX2 path's vector
-    // lanes follow exactly this order.
-    double acc0 = 0.0, acc1 = 0.0, acc2 = 0.0, acc3 = 0.0;
-    for (std::size_t r = 0; r < rows; ++r) {
-      const double w = c[r];
-      const double* v = vals + 4 * r;
-      acc0 += w * v[0];
-      acc1 += w * v[1];
-      acc2 += w * v[2];
-      acc3 += w * v[3];
-    }
-    outs[f][0] = acc0;
-    outs[f][1] = acc1;
-    outs[f][2] = acc2;
-    outs[f][3] = acc3;
-  }
-}
-
 double dot_scalar(const double* a, const double* b, std::size_t n) {
   double acc0 = 0.0, acc1 = 0.0, acc2 = 0.0, acc3 = 0.0;
   std::size_t j = 0;
@@ -80,47 +57,6 @@ __attribute__((target("avx2"))) void axpy_avx2(double* dst, const double* src,
   for (; j < n; ++j) dst[j] += a * src[j];
 }
 
-// K is a compile-time flow count so the K accumulators stay pinned in ymm
-// registers across the whole row sweep (K ≤ 8: 8 accumulators + the shared
-// value tile + a broadcast temporary fit the 16 ymm registers).
-template <int K>
-__attribute__((target("avx2"))) void weighted_sum4_avx2_k(
-    const double* vals, std::size_t rows, const double* const* coeffs,
-    double* const* outs) {
-  __m256d acc[K];
-  for (int f = 0; f < K; ++f) acc[f] = _mm256_setzero_pd();
-  for (std::size_t r = 0; r < rows; ++r) {
-    const __m256d v = _mm256_loadu_pd(vals + 4 * r);
-    for (int f = 0; f < K; ++f) {
-      // Deliberately mul + add, not FMA: bit-identity with the scalar path.
-      acc[f] = _mm256_add_pd(acc[f],
-                             _mm256_mul_pd(_mm256_set1_pd(coeffs[f][r]), v));
-    }
-  }
-  for (int f = 0; f < K; ++f) _mm256_storeu_pd(outs[f], acc[f]);
-}
-
-__attribute__((target("avx2"))) void weighted_sum4_avx2(
-    const double* vals, std::size_t rows, const double* const* coeffs,
-    std::size_t k, double* const* outs) {
-  while (k >= 8) {
-    weighted_sum4_avx2_k<8>(vals, rows, coeffs, outs);
-    coeffs += 8;
-    outs += 8;
-    k -= 8;
-  }
-  switch (k) {
-    case 7: weighted_sum4_avx2_k<7>(vals, rows, coeffs, outs); break;
-    case 6: weighted_sum4_avx2_k<6>(vals, rows, coeffs, outs); break;
-    case 5: weighted_sum4_avx2_k<5>(vals, rows, coeffs, outs); break;
-    case 4: weighted_sum4_avx2_k<4>(vals, rows, coeffs, outs); break;
-    case 3: weighted_sum4_avx2_k<3>(vals, rows, coeffs, outs); break;
-    case 2: weighted_sum4_avx2_k<2>(vals, rows, coeffs, outs); break;
-    case 1: weighted_sum4_avx2_k<1>(vals, rows, coeffs, outs); break;
-    default: break;
-  }
-}
-
 __attribute__((target("avx2"))) double dot_avx2(const double* a,
                                                 const double* b,
                                                 std::size_t n) {
@@ -142,22 +78,17 @@ __attribute__((target("avx2"))) double dot_avx2(const double* a,
 #endif  // SPROUT_KERNELS_HAVE_AVX2
 
 using AxpyFn = void (*)(double*, const double*, double, std::size_t);
-using WeightedSum4Fn = void (*)(const double*, std::size_t,
-                                const double* const*, std::size_t,
-                                double* const*);
 using DotFn = double (*)(const double*, const double*, std::size_t);
 
 struct Backend {
   AxpyFn axpy;
-  WeightedSum4Fn weighted_sum4;
   DotFn dot;
   const char* name;
 };
 
-constexpr Backend kScalar{axpy_scalar, weighted_sum4_scalar, dot_scalar,
-                          "scalar"};
+constexpr Backend kScalar{axpy_scalar, dot_scalar, "scalar"};
 #if SPROUT_KERNELS_HAVE_AVX2
-constexpr Backend kAvx2{axpy_avx2, weighted_sum4_avx2, dot_avx2, "avx2"};
+constexpr Backend kAvx2{axpy_avx2, dot_avx2, "avx2"};
 #endif
 
 bool avx2_supported() {
@@ -195,18 +126,13 @@ Backend g_backend = resolve_startup();
 // NOTE: these wrappers are the hottest call sites in the tree and carry NO
 // instrumentation — not even a disabled-branch check.  The per-backend
 // dispatch tallies ("kernels.axpy.avx2", ...) are counted per PASS at the
-// call sites (TransitionMatrix::evolve and friends), which know how many
-// kernel invocations a pass makes; the perf trajectory's obs-overhead
-// guard (< 1% on the banded-evolve bench) exists to keep it that way.
+// call sites (TransitionMatrix::evolve and the forecaster's CDF probes),
+// which know how many kernel invocations a pass makes; the perf
+// trajectory's obs-overhead guard (< 1% on the banded-evolve bench) exists
+// to keep it that way.
 
 void axpy(double* dst, const double* src, double a, std::size_t n) {
   g_backend.axpy(dst, src, a, n);
-}
-
-void weighted_sum4(const double* vals, std::size_t rows,
-                   const double* const* coeffs, std::size_t k,
-                   double* const* outs) {
-  g_backend.weighted_sum4(vals, rows, coeffs, k, outs);
 }
 
 double dot(const double* a, const double* b, std::size_t n) {

@@ -24,21 +24,6 @@ namespace sprout::kernels {
 // dst[j] += a * src[j] for j in [0, n).
 void axpy(double* dst, const double* src, double a, std::size_t n);
 
-// outs[f][l] = Σ_r coeffs[f][r] * vals[4r + l] for f in [0, k), l in
-// [0, 4): k weighted sums of a sequence of 4-wide value tiles, one
-// sequential accumulator per output lane, rows ascending.
-//
-// The batched-evolve workhorse.  The accumulators live in registers for
-// the whole row sweep — the inner loop does no scratch loads or stores at
-// all, unlike axpy which read-modify-writes the destination every element —
-// and each value tile is loaded once and shared by every flow.  Per lane
-// the arithmetic is `acc += c * v` in ascending-row order with acc starting
-// at +0.0, exactly the add sequence a row-by-row axpy accumulation
-// produces, so results are bit-identical to the serial evolve path.
-void weighted_sum4(const double* vals, std::size_t rows,
-                   const double* const* coeffs, std::size_t k,
-                   double* const* outs);
-
 // Σ_j a[j] * b[j] for j in [0, n), fixed 4-lane summation tree.
 double dot(const double* a, const double* b, std::size_t n);
 

@@ -141,27 +141,6 @@ TEST(Forecast, FloorHintNeverChangesTheForecast) {
   }
 }
 
-TEST(Forecast, BatchBitIdenticalToSerialForecasts) {
-  SproutParams p;
-  DeliveryForecaster fc(p);
-  std::vector<RateDistribution> dists;
-  for (const int per_tick : {0, 3, 10, 14, 19}) {
-    dists.push_back(locked_at(p, per_tick));
-  }
-  std::vector<const RateDistribution*> ptrs;
-  for (const auto& d : dists) ptrs.push_back(&d);
-  const TimePoint now = TimePoint{} + sec(2);
-  const std::vector<DeliveryForecast> batch = fc.forecast_batch(ptrs, now);
-  ASSERT_EQ(batch.size(), dists.size());
-  for (std::size_t f = 0; f < dists.size(); ++f) {
-    const DeliveryForecast serial = fc.forecast(dists[f], now);
-    ASSERT_EQ(batch[f].ticks(), serial.ticks()) << "flow " << f;
-    EXPECT_EQ(batch[f].origin, serial.origin);
-    EXPECT_EQ(batch[f].cumulative_bytes, serial.cumulative_bytes)
-        << "flow " << f;
-  }
-}
-
 TEST(EwmaStrategy, FlatExtrapolationAtEstimatedRate) {
   SproutParams p;
   EwmaForecastStrategy s(p, EwmaParams{});

@@ -331,72 +331,5 @@ TEST(BandedEvolve, ZeroEpsilonIsBitIdenticalToDense) {
   }
 }
 
-TEST(BatchedEvolve, BitIdenticalToSerialEvolves) {
-  const SproutParams p = small_params();
-  TransitionMatrix m(p);
-  constexpr int kFlows = 8;
-  std::vector<RateDistribution> serial;
-  std::vector<RateDistribution> batched;
-  for (int f = 0; f < kFlows; ++f) {
-    RateDistribution d(p.num_bins);
-    auto& probs = d.mutable_probabilities();
-    std::fill(probs.begin(), probs.end(), 0.0);
-    // Distinct concentrated beliefs per flow.
-    probs[static_cast<std::size_t>((f * 9 + 3) % p.num_bins)] = 0.75;
-    probs[static_cast<std::size_t>((f * 9 + 4) % p.num_bins)] = 0.25;
-    serial.push_back(d);
-    batched.push_back(d);
-  }
-  std::vector<RateDistribution*> ptrs;
-  for (auto& d : batched) ptrs.push_back(&d);
-  for (int t = 0; t < 10; ++t) {
-    for (auto& d : serial) m.evolve(d);
-    m.evolve_batch(ptrs);
-  }
-  for (int f = 0; f < kFlows; ++f) {
-    for (int j = 0; j < p.num_bins; ++j) {
-      EXPECT_EQ(serial[static_cast<std::size_t>(f)].probability(j),
-                batched[static_cast<std::size_t>(f)].probability(j))
-          << "flow " << f << " bin " << j;
-    }
-  }
-}
-
-TEST(BatchedEvolve, FilterBatchGroupsByKernelAndMarksTicks) {
-  SproutParams pa = small_params();
-  pa.sigma_pps_per_sqrt_s = 217.0;
-  SproutParams pb = small_params();
-  pb.sigma_pps_per_sqrt_s = 433.0;  // different kernel
-  SproutBayesFilter a1(pa), a2(pa), b1(pb), serial_a1(pa), serial_a2(pa),
-      serial_b1(pb);
-  ASSERT_EQ(a1.transition_matrix(), a2.transition_matrix());
-  ASSERT_NE(a1.transition_matrix(), b1.transition_matrix());
-  // Make states distinct before batching.
-  for (auto* f : {&a1, &serial_a1}) { f->evolve(); f->observe(10); }
-  for (auto* f : {&a2, &serial_a2}) { f->evolve(); f->observe(3); }
-  for (auto* f : {&b1, &serial_b1}) { f->evolve(); f->observe(7); }
-  std::vector<SproutBayesFilter*> group{&a1, &a2, &b1};
-  SproutBayesFilter::evolve_batch(group);
-  // The next evolve() consumes the mark: states must equal ONE serial
-  // evolve, not two.
-  a1.evolve();
-  a2.evolve();
-  b1.evolve();
-  serial_a1.evolve();
-  serial_a2.evolve();
-  serial_b1.evolve();
-  const auto expect_same = [&](const SproutBayesFilter& got,
-                               const SproutBayesFilter& want) {
-    for (int j = 0; j < pa.num_bins; ++j) {
-      ASSERT_EQ(got.distribution().probability(j),
-                want.distribution().probability(j))
-          << "bin " << j;
-    }
-  };
-  expect_same(a1, serial_a1);
-  expect_same(a2, serial_a2);
-  expect_same(b1, serial_b1);
-}
-
 }  // namespace
 }  // namespace sprout

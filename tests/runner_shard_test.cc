@@ -182,6 +182,10 @@ TEST(Shard, ShardCellIndicesDealRoundRobin) {
   const std::vector<ScenarioSpec> seven(7, cell);
   EXPECT_EQ(lpt_partition(seven, 3),
             (std::vector<std::vector<std::size_t>>{{0, 3, 6}, {1, 4}, {2, 5}}));
+  // An index list (the orchestrator's remaining cells) is cut the same
+  // way, whatever order it is listed in.
+  EXPECT_EQ(lpt_partition(seven, {6, 2, 5, 0}, 2),
+            (std::vector<std::vector<std::size_t>>{{0, 5}, {2, 6}}));
   // More shards than cells: the surplus shards are legitimately empty.
   EXPECT_TRUE(lpt_partition({cell, cell}, 3)[2].empty());
   EXPECT_THROW((void)lpt_partition(seven, 0), std::invalid_argument);
@@ -365,6 +369,23 @@ TEST_F(ShardMerge, CounterBeyondDoubleExactRangeIsRejected) {
   text.replace(digits_at, digits_end - digits_at, "9007199254740994");
   EXPECT_THROW((void)read_journal(text, "j", /*allow_truncated_tail=*/false),
                std::runtime_error);
+}
+
+TEST_F(ShardMerge, ForgedCellTotalSizesNothing) {
+  // A header may claim any total up to 2^53.  The reader bounds indices by
+  // it and the merge reports the first gap, but neither sizes anything by
+  // the claim: a 2^53 total would be a petabyte bitmap.
+  std::string text = journal_of(*grid_, (*shards_)[0]);
+  const std::string key = "\"total_cells\": 3,";
+  const std::size_t at = text.find(key);
+  ASSERT_NE(at, std::string::npos);
+  text.replace(at, key.size(), "\"total_cells\": 9007199254740992,");
+  const ShardResult forged =
+      read_journal(text, "j", /*allow_truncated_tail=*/false);
+  EXPECT_EQ(forged.total_cells, std::size_t{1} << 53);
+  ASSERT_EQ(forged.records.size(), 1u);
+  EXPECT_EQ(forged.records[0].index, 0u);
+  expect_merge_error({forged}, "cell 1 is covered by no shard");
 }
 
 // --- fingerprints and scheduling ----------------------------------------

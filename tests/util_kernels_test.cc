@@ -53,40 +53,6 @@ TEST(Kernels, DotMatchesNaiveSumWithinTolerance) {
   }
 }
 
-TEST(Kernels, WeightedSum4MatchesSequentialAccumulation) {
-  std::mt19937_64 rng(7);
-  std::uniform_real_distribution<double> u(0.0, 1.0);
-  for (const std::size_t rows : {0UL, 1UL, 3UL, 17UL, 96UL}) {
-    for (const std::size_t k : {1UL, 2UL, 5UL, 8UL, 11UL}) {
-      std::vector<double> vals(rows * 4);
-      for (double& x : vals) x = u(rng);
-      std::vector<std::vector<double>> coeff_store(k);
-      std::vector<std::vector<double>> out_store(k, std::vector<double>(4));
-      std::vector<const double*> coeffs(k);
-      std::vector<double*> outs(k);
-      for (std::size_t f = 0; f < k; ++f) {
-        coeff_store[f] = random_vec(rng, rows);
-        for (double& c : coeff_store[f]) c = std::abs(c);
-        coeffs[f] = coeff_store[f].data();
-        outs[f] = out_store[f].data();
-      }
-      weighted_sum4(vals.data(), rows, coeffs.data(), k, outs.data());
-      for (std::size_t f = 0; f < k; ++f) {
-        for (std::size_t l = 0; l < 4; ++l) {
-          // The contract is a bit-exact sequential sum per lane, ascending
-          // rows — not just "close": the batched evolve depends on it.
-          double acc = 0.0;
-          for (std::size_t r = 0; r < rows; ++r) {
-            acc += coeff_store[f][r] * vals[4 * r + l];
-          }
-          EXPECT_EQ(out_store[f][l], acc)
-              << "rows=" << rows << " k=" << k << " f=" << f << " l=" << l;
-        }
-      }
-    }
-  }
-}
-
 TEST(Kernels, BackendsAreBitIdentical) {
   // The determinism contract: whatever backend cpuid picked must agree with
   // the scalar reference TO THE BIT, or goldens become machine-dependent.
@@ -113,38 +79,6 @@ TEST(Kernels, BackendsAreBitIdentical) {
     EXPECT_EQ(std::memcmp(dst_vec.data(), dst_sca.data(), n * sizeof(double)),
               0)
         << "n=" << n;
-  }
-
-  // weighted_sum4 across backends, including the k > 8 chunked path.
-  std::mt19937_64 rng2(4);
-  for (const std::size_t rows : {1UL, 7UL, 96UL}) {
-    for (const std::size_t k : {1UL, 3UL, 8UL, 13UL}) {
-      const std::vector<double> vals = random_vec(rng2, rows * 4);
-      std::vector<std::vector<double>> coeff_store(k);
-      std::vector<const double*> coeffs(k);
-      std::vector<std::vector<double>> out_vec(k, std::vector<double>(4));
-      std::vector<std::vector<double>> out_sca(k, std::vector<double>(4));
-      std::vector<double*> outs(k);
-      for (std::size_t f = 0; f < k; ++f) {
-        coeff_store[f] = random_vec(rng2, rows);
-        coeffs[f] = coeff_store[f].data();
-      }
-
-      ASSERT_TRUE(force_backend("avx2"));
-      for (std::size_t f = 0; f < k; ++f) outs[f] = out_vec[f].data();
-      weighted_sum4(vals.data(), rows, coeffs.data(), k, outs.data());
-
-      ASSERT_TRUE(force_backend("scalar"));
-      for (std::size_t f = 0; f < k; ++f) outs[f] = out_sca[f].data();
-      weighted_sum4(vals.data(), rows, coeffs.data(), k, outs.data());
-
-      for (std::size_t f = 0; f < k; ++f) {
-        EXPECT_EQ(std::memcmp(out_vec[f].data(), out_sca[f].data(),
-                              4 * sizeof(double)),
-                  0)
-            << "rows=" << rows << " k=" << k << " f=" << f;
-      }
-    }
   }
 }
 
