@@ -54,7 +54,9 @@ inline ScenarioSpec hetero_spec(std::vector<FlowSpec> flows,
   return with_bench_times(heterogeneous_scenario(std::move(flows), link));
 }
 
-// Cubic + Skype contending on a network, direct or tunneled (§5.7).
+// §5.7: the two-flow queue {Cubic, Skype} on a network's downlink, direct
+// or with both flows riding one SproutTunnel endpoint pair.  flows[0] is
+// the Cubic download, flows[1] the Skype call.
 inline ScenarioSpec tunnel_spec(bool via_tunnel,
                                 const std::string& network = "Verizon LTE") {
   return with_bench_times(tunnel_scenario(network, via_tunnel));

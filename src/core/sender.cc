@@ -7,11 +7,6 @@
 namespace sprout {
 
 namespace {
-// Fixed per-packet allowance for the Sprout header plus a piggybacked
-// 8-tick forecast block.  The window/byte accounting uses this constant so
-// the budget math stays independent of whether a given packet happens to
-// carry a forecast.
-constexpr ByteCount kWireOverhead = 96;
 // Before the first forecast arrives the sender paces itself to a modest
 // fixed allowance per tick (the paper does not specify a startup phase).
 constexpr ByteCount kStartupPacketsPerTick = 20;

@@ -13,6 +13,13 @@
 
 namespace sprout {
 
+// Fixed per-packet allowance for the Sprout header plus a piggybacked
+// 8-tick forecast block.  The window/byte accounting uses this constant so
+// the budget math stays independent of whether a given packet happens to
+// carry a forecast; one frame carries at most mtu - kWireOverhead payload
+// bytes.
+inline constexpr ByteCount kWireOverhead = 96;
+
 class SproutSender {
  public:
   // `emit` hands a finished outgoing message (with wire size) to the owner,

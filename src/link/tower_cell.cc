@@ -1,10 +1,12 @@
 #include "link/tower_cell.h"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 #include <utility>
 
 #include "synth/models.h"
+#include "util/rng.h"
 
 namespace sprout {
 
@@ -23,6 +25,40 @@ class ProcessChannel final : public TowerChannel {
  private:
   Process process_;
   Duration step_;
+};
+
+// The fading radio's depth (stationary SNR stddev), reversion rate and
+// step, as make_fading_channel documents them.
+constexpr double kFadingDepthDb = 6.0;
+constexpr double kFadingReversionPerS = 0.4;
+constexpr Duration kFadingStep = msec(1);
+
+class FadingChannel final : public TowerChannel {
+ public:
+  FadingChannel(double mean_snr_db, std::uint64_t seed)
+      : mean_snr_db_(mean_snr_db),
+        rng_(seed),
+        snr_db_(rng_.normal(mean_snr_db, kFadingDepthDb)) {}
+
+  double advance() override {
+    // dS = -a (S - mean) dt + sigma dW, with sigma chosen so the
+    // stationary stddev is kFadingDepthDb.
+    const double dt = to_seconds(kFadingStep);
+    const double a = kFadingReversionPerS;
+    snr_db_ += -a * (snr_db_ - mean_snr_db_) * dt +
+               rng_.normal(0.0, kFadingDepthDb * std::sqrt(2.0 * a * dt));
+    const double efficiency =
+        std::min(std::log2(1.0 + std::pow(10.0, snr_db_ / 10.0)),
+                 kMaxSpectralEfficiency);
+    return kFadingBandwidthHz * efficiency /
+           (8.0 * static_cast<double>(kMtuBytes));
+  }
+  [[nodiscard]] Duration step() const override { return kFadingStep; }
+
+ private:
+  double mean_snr_db_;
+  Rng rng_;
+  double snr_db_;
 };
 
 }  // namespace
@@ -47,6 +83,11 @@ std::unique_ptr<TowerChannel> make_tower_channel(const SynthSpec& channel,
   }
   throw std::invalid_argument(
       "tower channels must be live models (brownian or markov)");
+}
+
+std::unique_ptr<TowerChannel> make_fading_channel(double mean_snr_db,
+                                                  std::uint64_t seed) {
+  return std::make_unique<FadingChannel>(mean_snr_db, seed);
 }
 
 TowerCell::TowerCell(TowerCellParams params) : params_(params) {

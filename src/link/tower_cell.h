@@ -1,14 +1,20 @@
-// A cell tower serving a churning population of users — the §2.1 scheduler
-// generalized to synth-driven per-user channels and live attach/detach.
+// A cell tower serving a churning population of users — the §2.1
+// proportional-fair base station.
 //
-// PfCell (link/pf_cell.h) models the proportional-fair downlink for a
-// fixed fleet of OU-faded users.  TowerCell keeps the scheduler — serve
-// argmax(instantaneous rate / PF-average rate) each slot, credit the
-// winner's bytes, emit one delivery opportunity per completed MTU — but
-// draws each user's instantaneous rate from its own synth/ rate process
-// (Brownian or Markov, the live models) and lets users arrive and depart
-// mid-run.  Departed users cost nothing: their state is erased, and the
-// scheduler's per-slot work is O(active users).
+// "The base station schedules data transmissions taking both per-user
+// (proportional) fairness and channel quality into consideration [3].
+// Typically, each user's device is scheduled for a fixed time slice over
+// which a variable number of payload bits may be sent, depending on the
+// channel conditions, and users are scheduled in roughly round-robin
+// fashion."  (§2.1, citing the 1xEV-DO scheduler.)
+//
+// Each slot TowerCell serves argmax(instantaneous rate / PF-average rate),
+// credits the winner's bytes and emits one delivery opportunity per
+// completed MTU.  Each user's instantaneous rate comes from its own
+// TowerChannel: a synth/ rate process (Brownian or Markov, the live
+// models), or a first-principles fading radio (make_fading_channel).
+// Users arrive and depart mid-run.  Departed users cost nothing: their
+// state is erased, and the scheduler's per-slot work is O(active users).
 //
 // Determinism: users are stored in id order and every tie in the PF metric
 // breaks toward the smallest id, so a tower run is a pure function of its
@@ -47,6 +53,24 @@ class TowerChannel {
 // trace to apply ops to.
 [[nodiscard]] std::unique_ptr<TowerChannel> make_tower_channel(
     const SynthSpec& channel, std::uint64_t seed);
+
+// The fading radio's shared channel bandwidth, and its 64-QAM cap on
+// spectral efficiency: real modulation tops out well below Shannon at
+// high SNR.
+inline constexpr double kFadingBandwidthHz = 5e6;
+inline constexpr double kMaxSpectralEfficiency = 6.0;  // bit/s/Hz
+
+// A first-principles user channel.  Its SNR in dB walks as an
+// Ornstein-Uhlenbeck process around `mean_snr_db`: fades 6 dB deep
+// (stationary stddev) that revert at 0.4/s — slow, like a walking user —
+// starting from a draw of the stationary distribution and advanced every
+// 1 ms.  Each step's rate is the Shannon bound
+// kFadingBandwidthHz * min(log2(1 + SNR), kMaxSpectralEfficiency) bits/s,
+// returned in MTU-sized packets per second.  Traces a TowerCell schedules
+// over these users do NOT come from the Cox process Sprout's filter
+// assumes (bench/ablation_pfcell).
+[[nodiscard]] std::unique_ptr<TowerChannel> make_fading_channel(
+    double mean_snr_db, std::uint64_t seed);
 
 struct TowerCellParams {
   Duration slot = msec(2);          // scheduler TTI: one user served per slot

@@ -126,7 +126,8 @@ class SproutFlow : public SchemeFlow {
 class TcpFlow : public SchemeFlow {
  public:
   TcpFlow(const FlowContext& ctx, std::unique_ptr<CongestionControl> cc)
-      : tx_(std::make_unique<TcpSender>(ctx.sim, std::move(cc), ctx.flow_id)),
+      : tx_(std::make_unique<TcpSender>(ctx.sim, std::move(cc), ctx.flow_id,
+                                        ctx.mtu)),
         rx_(std::make_unique<TcpReceiver>(ctx.sim, ctx.flow_id)),
         measured_(make_measured(ctx, rx_.get())) {
     tx_->attach_network(ctx.forward_link);
@@ -256,7 +257,9 @@ SchemeInfo video_scheme(SchemeId id, VideoProfile (*profile)()) {
   info.id = id;
   info.name = to_string(id);
   info.make_flow = [profile](const FlowContext& ctx) {
-    return std::make_unique<VideoFlow>(ctx, profile());
+    VideoProfile p = profile();
+    p.max_packet_bytes = ctx.mtu;
+    return std::make_unique<VideoFlow>(ctx, p);
   };
   return info;
 }

@@ -61,6 +61,11 @@ struct FlowContext {
   // measured sink feeds deliveries and Sprout-family receivers feed their
   // forecasts.  Scenario-owned; must outlive the flow.
   FlowTimelineRecorder* timeline = nullptr;
+  // Largest packet the ingresses above carry.  Derived, never set by a
+  // spec: kMtuBytes, or the tunnel's client_mtu() when the flows ride
+  // SproutTunnel, whose framing takes the difference.  TCP uses it as its
+  // MSS and video apps as their largest packet.
+  ByteCount mtu = kMtuBytes;
 };
 
 // Builds the flow's measured receiver sink, honouring

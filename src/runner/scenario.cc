@@ -5,14 +5,10 @@
 #include <limits>
 #include <sstream>
 #include <stdexcept>
-#include <tuple>
 #include <utility>
 
-#include "app/video_app.h"
 #include "aqm/codel.h"
 #include "aqm/pie.h"
-#include "cc/cubic.h"
-#include "cc/tcp_endpoint.h"
 #include "link/cellsim.h"
 #include "metrics/flow_metrics.h"
 #include "obs/metrics.h"
@@ -440,11 +436,15 @@ ResolvedLink resolve_link(const LinkSpec& link, Duration run_time,
 // --- generic topology: registry-built flows over two shared links -------
 
 // The per-flow specs a topology resolves to: an explicit FlowSpec list as
-// given, the homogeneous shapes as N copies of the scenario's scheme.
+// given, the homogeneous shapes as N copies of the scenario's scheme, and
+// the §5.7 tunnel cell as its fixed pair (Cubic is flow 1, Skype flow 2).
 std::vector<FlowSpec> effective_flow_specs(const ScenarioSpec& spec) {
   const TopologySpec& topo = spec.topology;
   if (topo.kind == TopologySpec::Kind::kSingleFlow) {
     return {FlowSpec::of(spec.scheme)};
+  }
+  if (topo.kind == TopologySpec::Kind::kTunnelContention) {
+    return {FlowSpec::of(SchemeId::kCubic), FlowSpec::of(SchemeId::kSkype)};
   }
   if (!topo.flows.empty()) return topo.flows;
   if (topo.num_flows < 1) {
@@ -585,8 +585,6 @@ ScenarioResult run_flows(const ScenarioSpec& spec, const ResolvedLink& link) {
 
   DemuxSink fwd_demux;  // data arriving at the receivers
   DemuxSink rev_demux;  // feedback arriving at the senders
-  fwd_egress.set_target(fwd_demux);
-  rev_egress.set_target(rev_demux);
 
   SproutParams default_params;
   default_params.confidence_percent = spec.sprout_confidence;
@@ -595,6 +593,36 @@ ScenarioResult run_flows(const ScenarioSpec& spec, const ResolvedLink& link) {
   // Symmetric defaults leave this at the historical 20 ms.
   default_params.assumed_propagation =
       (spec.propagation_delay_fwd + spec.propagation_delay_rev) / 2;
+
+  // §4.3 SproutTunnel: one server/mobile endpoint pair sits between every
+  // flow and the links.  Flows push into the near endpoint's ingress; the
+  // far endpoint decapsulates into the demux, which keeps the per-flow
+  // byte ledger either way.  The tunnel's own Sprout session (flow id 100)
+  // starts before any flow does.
+  std::unique_ptr<TunnelEndpoint> server_tunnel;
+  std::unique_ptr<TunnelEndpoint> mobile_tunnel;
+  PacketSink* fwd_ingress = &fwd_link;
+  PacketSink* rev_ingress = &rev_link;
+  ByteCount mtu = kMtuBytes;
+  if (spec.topology.via_tunnel) {
+    constexpr std::int64_t kTunnelFlowId = 100;
+    server_tunnel = std::make_unique<TunnelEndpoint>(
+        sim, default_params, SproutVariant::kBayesian, kTunnelFlowId);
+    mobile_tunnel = std::make_unique<TunnelEndpoint>(
+        sim, default_params, SproutVariant::kBayesian, kTunnelFlowId);
+    server_tunnel->attach_network(fwd_link);
+    mobile_tunnel->attach_network(rev_link);
+    fwd_egress.set_target(mobile_tunnel->network_sink());
+    rev_egress.set_target(server_tunnel->network_sink());
+    fwd_ingress = &server_tunnel->ingress();
+    rev_ingress = &mobile_tunnel->ingress();
+    mtu = server_tunnel->client_mtu();
+    server_tunnel->start();
+    mobile_tunnel->start();
+  } else {
+    fwd_egress.set_target(fwd_demux);
+    rev_egress.set_target(rev_demux);
+  }
 
   const TimePoint meas_from = TimePoint{} + spec.warmup;
   const TimePoint meas_to = TimePoint{} + spec.run_time;
@@ -649,33 +677,38 @@ ScenarioResult run_flows(const ScenarioSpec& spec, const ResolvedLink& link) {
   for (std::size_t f = 0; f < flow_specs.size(); ++f) {
     const FlowSpec& fs = flow_specs[f];
     const std::int64_t id = static_cast<std::int64_t>(f) + 1;
-    // A stopping flow's traffic is gated at BOTH link ingresses: after the
-    // stop instant neither its data nor its feedback enters a queue.
-    PacketSink* fwd_ingress = &fwd_link;
-    PacketSink* rev_ingress = &rev_link;
+    // A stopping flow's traffic is gated at BOTH ingresses: after the stop
+    // instant neither its data nor its feedback enters a queue.
+    PacketSink* flow_fwd = fwd_ingress;
+    PacketSink* flow_rev = rev_ingress;
     if (fs.stop.has_value()) {
       const TimePoint close_at = TimePoint{} + *fs.stop;
-      gates.push_back(std::make_unique<GateSink>(sim, fwd_link, close_at));
-      fwd_ingress = gates.back().get();
-      gates.push_back(std::make_unique<GateSink>(sim, rev_link, close_at));
-      rev_ingress = gates.back().get();
+      gates.push_back(std::make_unique<GateSink>(sim, *fwd_ingress, close_at));
+      flow_fwd = gates.back().get();
+      gates.push_back(std::make_unique<GateSink>(sim, *rev_ingress, close_at));
+      flow_rev = gates.back().get();
     }
     FlowContext ctx{sim,
                     fs.sprout_params.value_or(default_params),
                     id,
                     static_cast<int>(f),
-                    *fwd_ingress,
-                    *rev_ingress,
+                    *flow_fwd,
+                    *flow_rev,
                     fwd_link.trace(),
                     spec.propagation_delay_fwd,
                     spec.run_time,
                     /*streaming_metrics=*/nullptr,
                     &delay_cfgs[f],
-                    spec.record_timeline ? flow_recs[f].get() : nullptr};
+                    spec.record_timeline ? flow_recs[f].get() : nullptr,
+                    mtu};
     auto flow = schemes[f]->make_flow(ctx);
     fwd_demux.route(id, flow->data_egress());
     if (PacketSink* feedback = flow->feedback_egress()) {
       rev_demux.route(id, *feedback);
+    }
+    if (spec.topology.via_tunnel) {
+      mobile_tunnel->set_egress(id, fwd_demux);
+      server_tunnel->set_egress(id, rev_demux);
     }
     // A flow starting at the origin starts before the event loop runs,
     // exactly as the homogeneous engine always did; a late joiner's clocks
@@ -757,184 +790,6 @@ ScenarioResult run_flows(const ScenarioSpec& spec, const ResolvedLink& link) {
   return r;
 }
 
-// --- §5.7 tunnel contention ---------------------------------------------
-
-ScenarioResult run_tunnel(const ScenarioSpec& spec, const ResolvedLink& link) {
-  Simulator sim;
-  Rng seeder(spec.seed);
-
-  CellsimConfig down_cfg;
-  down_cfg.propagation_delay = spec.propagation_delay_fwd;
-  down_cfg.loss_rate = spec.loss_rate_fwd;
-  down_cfg.seed = seeder.fork_seed();
-  CellsimConfig up_cfg = down_cfg;
-  up_cfg.propagation_delay = spec.propagation_delay_rev;
-  up_cfg.loss_rate = spec.loss_rate_rev;
-  up_cfg.seed = seeder.fork_seed();
-
-  RelaySink down_egress;
-  RelaySink up_egress;
-  // kAuto builds no policy here (the contending Cubic/Skype pair requests
-  // none); an explicit spec pairs the tunnel scenario with any discipline.
-  std::unique_ptr<AqmPolicy> down_policy =
-      detail::make_aqm_policy(spec.link_aqm, seeder);
-  std::unique_ptr<AqmPolicy> up_policy =
-      detail::make_aqm_policy(spec.link_aqm, seeder);
-  CellsimLink down_link(sim, Trace(*link.forward), down_cfg, down_egress,
-                        std::move(down_policy));
-  CellsimLink up_link(sim, Trace(*link.reverse), up_cfg, up_egress,
-                      std::move(up_policy));
-
-  constexpr std::int64_t kCubicFlow = 1;
-  constexpr std::int64_t kSkypeFlow = 2;
-
-  // Client endpoints (server side sends; mobile side receives).
-  std::unique_ptr<TunnelEndpoint> server_tunnel;
-  std::unique_ptr<TunnelEndpoint> mobile_tunnel;
-
-  ByteCount client_mtu = kMtuBytes;
-  if (spec.topology.via_tunnel) {
-    SproutParams params;
-    params.confidence_percent = spec.sprout_confidence;
-    params.assumed_propagation =
-        (spec.propagation_delay_fwd + spec.propagation_delay_rev) / 2;
-    server_tunnel = std::make_unique<TunnelEndpoint>(
-        sim, params, SproutVariant::kBayesian, 100);
-    mobile_tunnel = std::make_unique<TunnelEndpoint>(
-        sim, params, SproutVariant::kBayesian, 100);
-    client_mtu = server_tunnel->client_mtu();
-  }
-
-  TcpSender tcp_tx(sim, std::make_unique<CubicCC>(), kCubicFlow, client_mtu);
-  TcpReceiver tcp_rx(sim, kCubicFlow);
-  VideoProfile skype = skype_profile();
-  skype.max_packet_bytes = client_mtu;
-  VideoSender video_tx(sim, skype, kSkypeFlow);
-  VideoReceiver video_rx(sim, kSkypeFlow);
-
-  const TimePoint from = TimePoint{} + spec.warmup;
-  const TimePoint to = TimePoint{} + spec.run_time;
-
-  MeasuredSink measured_cubic(sim, tcp_rx);
-  MeasuredSink measured_skype(sim, video_rx);
-  {
-    const StreamingMetricsConfig cfg = delay_hist_config(from, to);
-    measured_cubic.metrics().enable_histogram(cfg.hist_bin, cfg.hist_max,
-                                              cfg.from, cfg.to);
-    measured_skype.metrics().enable_histogram(cfg.hist_bin, cfg.hist_max,
-                                              cfg.from, cfg.to);
-  }
-
-  // Flight recorders (if asked): the contending pair shares the downlink
-  // queue, so the link-level recorder's columns are grafted onto both
-  // flows' timelines.  Neither flow runs a forecaster, so the forecast
-  // column stays zero (via_tunnel's Sprout forecaster belongs to the
-  // tunnel, not to either client flow).
-  std::unique_ptr<FlowTimelineRecorder> cubic_rec;
-  std::unique_ptr<FlowTimelineRecorder> skype_rec;
-  std::unique_ptr<FlowTimelineRecorder> tunnel_link_rec;
-  if (spec.record_timeline) {
-    cubic_rec = std::make_unique<FlowTimelineRecorder>(spec.timeline_bin,
-                                                       TimePoint{}, to);
-    skype_rec = std::make_unique<FlowTimelineRecorder>(spec.timeline_bin,
-                                                       TimePoint{}, to);
-    tunnel_link_rec = std::make_unique<FlowTimelineRecorder>(
-        spec.timeline_bin, TimePoint{}, to);
-    measured_cubic.metrics().set_timeline_recorder(cubic_rec.get());
-    measured_skype.metrics().set_timeline_recorder(skype_rec.get());
-    down_link.set_timeline_recorder(tunnel_link_rec.get());
-  }
-
-  DemuxSink down_demux;  // traffic arriving at the mobile
-  down_demux.route(kCubicFlow, measured_cubic);
-  down_demux.route(kSkypeFlow, measured_skype);
-  DemuxSink up_demux;  // feedback arriving at the server
-  up_demux.route(kCubicFlow, tcp_tx);
-  up_demux.route(kSkypeFlow, video_tx);
-
-  if (spec.topology.via_tunnel) {
-    server_tunnel->attach_network(down_link);
-    mobile_tunnel->attach_network(up_link);
-    down_egress.set_target(mobile_tunnel->network_sink());
-    up_egress.set_target(server_tunnel->network_sink());
-    // Server-side clients feed the tunnel; mobile-side egress demuxes.
-    tcp_tx.attach_network(server_tunnel->ingress());
-    video_tx.attach_network(server_tunnel->ingress());
-    mobile_tunnel->set_egress(kCubicFlow, measured_cubic);
-    mobile_tunnel->set_egress(kSkypeFlow, measured_skype);
-    // Feedback from the mobile side rides the tunnel back.
-    tcp_rx.attach_ack_path(mobile_tunnel->ingress());
-    video_rx.attach_report_path(mobile_tunnel->ingress());
-    server_tunnel->set_egress(kCubicFlow, tcp_tx);
-    server_tunnel->set_egress(kSkypeFlow, video_tx);
-    server_tunnel->start();
-    mobile_tunnel->start();
-  } else {
-    tcp_tx.attach_network(down_link);
-    video_tx.attach_network(down_link);
-    down_egress.set_target(down_demux);
-    tcp_rx.attach_ack_path(up_link);
-    video_rx.attach_report_path(up_link);
-    up_egress.set_target(up_demux);
-  }
-
-  tcp_tx.start();
-  video_tx.start();
-  video_rx.start();
-
-  sim.run_until(TimePoint{} + spec.run_time);
-
-  ScenarioResult r;
-  r.coactive_from_s = to_seconds(from.time_since_epoch());
-  r.coactive_to_s = to_seconds(to.time_since_epoch());
-  r.coactive_capacity_kbps = link_capacity_kbps(down_link.trace(), from, to);
-  using TunnelFlow = std::tuple<const char*, SchemeId, const MeasuredSink*,
-                                const FlowTimelineRecorder*>;
-  for (const auto& [label, scheme_id, sink, rec] :
-       {TunnelFlow{"Cubic", SchemeId::kCubic, &measured_cubic,
-                   cubic_rec.get()},
-        TunnelFlow{"Skype", SchemeId::kSkype, &measured_skype,
-                   skype_rec.get()}}) {
-    const FlowMetrics& m = sink->metrics();
-    FlowResult fr;
-    fr.label = label;
-    fr.scheme = scheme_id;
-    fr.active_from_s = to_seconds(from.time_since_epoch());
-    fr.active_to_s = to_seconds(to.time_since_epoch());
-    fr.throughput_kbps = m.throughput_kbps(from, to);
-    fr.delay95_ms = m.delay_percentile_ms(95.0, from, to);
-    fr.mean_delay_ms = m.mean_delay_ms(from, to);
-    // Tunnel flows never stop early, so the measured sink's lifetime total
-    // IS the whole-run ledger the demux keeps in the generic topology.
-    fr.delivered_bytes = m.total_bytes();
-    fr.delay_hist = m.histogram();
-    if (rec != nullptr) {
-      fr.timeline = rec->finalize(&down_link.trace(), tunnel_link_rec.get());
-    }
-    fr.coactive_throughput_kbps = fr.throughput_kbps;
-    r.aggregate_throughput_kbps += fr.throughput_kbps;
-    r.max_delay95_ms = std::max(r.max_delay95_ms, fr.delay95_ms);
-    r.flows.push_back(std::move(fr));
-  }
-  std::vector<double> shares;
-  for (const FlowResult& fr : r.flows) shares.push_back(fr.throughput_kbps);
-  r.jain_index = jain_fairness(shares);
-  r.capacity_kbps = r.coactive_capacity_kbps;
-  for (FlowResult& fr : r.flows) {
-    fr.capacity_share = r.capacity_kbps > 0.0
-                            ? fr.coactive_throughput_kbps / r.capacity_kbps
-                            : 0.0;
-  }
-  r.aggregate_utilization =
-      r.capacity_kbps > 0.0 ? r.aggregate_throughput_kbps / r.capacity_kbps
-                            : 0.0;
-  r.omniscient_delay95_ms = omniscient_delay_percentile_ms(
-      down_link.trace(), 95.0, from, to, spec.propagation_delay_fwd);
-  r.packets_delivered = down_link.delivered_packets();
-  r.link_drops = down_link.random_drops() + down_link.queue_drops();
-  return r;
-}
-
 }  // namespace
 
 double scheme_cost_weight(SchemeId scheme) {
@@ -978,8 +833,8 @@ double scheme_cost_weight(SchemeId scheme) {
 double estimated_cost(const ScenarioSpec& spec) {
   // Simulated work scales with how long the event loop runs and with the
   // per-scheme weight of every endpoint pair feeding it.  The tunnel
-  // scenario always runs its Cubic + Skype pair, plus a Sprout-weight
-  // surcharge when the pair rides SproutTunnel (measured: the tunnel's
+  // scenario sums its fixed flow pair, plus a Sprout-weight surcharge
+  // when the pair rides SproutTunnel (measured: the tunnel's
   // forecaster costs what a Sprout flow costs); shared queues sum their
   // flow list (or num_flows copies); a single flow is its own weight.
   double weight = 0.0;
@@ -998,8 +853,9 @@ double estimated_cost(const ScenarioSpec& spec) {
       }
       break;
     case TopologySpec::Kind::kTunnelContention:
-      weight = scheme_cost_weight(SchemeId::kCubic) +
-               scheme_cost_weight(SchemeId::kSkype);
+      for (const FlowSpec& f : effective_flow_specs(spec)) {
+        weight += scheme_cost_weight(f.scheme);
+      }
       if (spec.topology.via_tunnel) {
         weight += scheme_cost_weight(SchemeId::kSprout);
       }
@@ -1049,11 +905,7 @@ ScenarioResult run_scenario(const ScenarioSpec& spec, ScenarioCache* cache) {
     }
     return detail::run_tower(spec);
   }
-  const ResolvedLink link = resolve_link(spec.link, spec.run_time, cache);
-  if (spec.topology.kind == TopologySpec::Kind::kTunnelContention) {
-    return run_tunnel(spec, link);
-  }
-  return run_flows(spec, link);
+  return run_flows(spec, resolve_link(spec.link, spec.run_time, cache));
 }
 
 }  // namespace sprout

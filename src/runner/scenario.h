@@ -3,11 +3,11 @@
 // One ScenarioSpec describes everything the runner can simulate: which
 // scheme, over which link (a named preset, caller-supplied traces, trace
 // files on disk, or a synthetic Cox-process spec), in which topology (one
-// flow on a dedicated queue, N flows commingled in one shared queue, or
-// the §5.7 tunnel-contention scenario), for how long, under what loss and
-// seed.  run_scenario() is the single entry point every bench, example and
-// test builds on (the legacy per-topology views were deleted once their
-// last in-repo callers moved here).
+// flow on a dedicated queue, N flows commingled in one shared queue, the
+// §5.7 tunnel-contention pair, or a PF cell tower), for how long, under
+// what loss and seed.  run_scenario() is the single entry point every
+// bench, example and test builds on.  Every topology but the tower runs on
+// one runner, whose flows come from the scheme registry.
 //
 // Topology (data flowing in the link's forward direction):
 //
@@ -161,7 +161,9 @@ struct TopologySpec {
   enum class Kind {
     kSingleFlow,        // one sender/receiver pair, dedicated queues
     kSharedQueue,       // flows commingled in ONE queue (§7, heterogeneous)
-    kTunnelContention,  // §5.7: Cubic bulk + Skype call, direct or tunneled
+    // §5.7: the two-flow queue {Cubic, Skype} — a bulk download and a
+    // call, Cubic as flow 1 — direct or through SproutTunnel.
+    kTunnelContention,
     kTower,             // PF cell tower, per-user queues, Poisson churn
   };
 
@@ -173,7 +175,10 @@ struct TopologySpec {
   // contradiction rather than silently preferring one field.
   int num_flows = 1;
   std::vector<FlowSpec> flows;
-  bool via_tunnel = false;  // kTunnelContention
+  // kTunnelContention only: every flow's data and feedback ride one
+  // server/mobile SproutTunnel endpoint pair (§4.3) instead of entering
+  // the links directly, and flows size packets to the tunnel's client MTU.
+  bool via_tunnel = false;
   // kTower.  The tower owns its own link model (the PF cell), scheme
   // choice (the mix) and metrics geometry, so a tower scenario ignores
   // ScenarioSpec::scheme / link.
@@ -286,7 +291,7 @@ struct ScenarioSpec {
 // would instead ramp the §5.1 sawtooth without bound once arrivals cease,
 // which is an artifact of departure, not queueing.
 struct FlowResult {
-  std::string label;             // scheme name; "Cubic"/"Skype" in tunnel
+  std::string label;             // scheme name
   SchemeId scheme = SchemeId::kSprout;
   double active_from_s = 0.0;    // this flow's measurement window
   double active_to_s = 0.0;

@@ -117,9 +117,7 @@ void TunnelEndpoint::start() {
 }
 
 ByteCount TunnelEndpoint::client_mtu() const {
-  // One Sprout frame carries mtu - overhead payload bytes; the overhead
-  // constant lives in the sender (96 bytes).
-  return params_.mtu - 96;
+  return params_.mtu - kWireOverhead;
 }
 
 void TunnelEndpoint::deliver(Packet&& client) {

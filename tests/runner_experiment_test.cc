@@ -298,6 +298,16 @@ TEST(SharedQueue, RejectsInvalidConfigs) {
                std::invalid_argument);
   EXPECT_THROW((void)run_scenario(shared_quick(SchemeId::kOmniscient, 2)),
                std::invalid_argument);
+  // A measurement window that ends before it starts leaves every flow
+  // unmeasured; the tunnel pair is rejected like any other flow list,
+  // direct or tunneled.
+  for (const bool via : {false, true}) {
+    ScenarioSpec empty_window = tunnel_scenario("Verizon LTE", via);
+    empty_window.run_time = sec(10);
+    empty_window.warmup = sec(12);
+    EXPECT_THROW((void)run_scenario(empty_window), std::invalid_argument)
+        << "via_tunnel=" << via;
+  }
 }
 
 TEST(TunnelContention, RunsBothModes) {

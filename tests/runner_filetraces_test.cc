@@ -5,7 +5,7 @@
 
 #include <cstdio>
 
-#include "link/pf_cell.h"
+#include "link/tower_cell.h"
 #include "runner/scenario.h"
 #include "trace/presets.h"
 #include "trace/trace.h"
@@ -99,13 +99,18 @@ TEST(FileTraces, SurvivesTraceFileRoundTrip) {
 }
 
 TEST(FileTraces, PfCellTracesDriveTheFullStack) {
-  PfCellParams params;
-  params.num_users = 2;
-  PfCell cell(params, 5);
-  auto traces = cell.run(sec(45));
+  // Two fading users share a 1 ms-slot PF cell; user 1's trace carries
+  // the data, user 2's the feedback.
+  TowerCellParams params;
+  params.slot = msec(1);
+  TowerCell cell(params);
+  cell.add_user(1, make_fading_channel(5.0, 5));
+  cell.add_user(2, make_fading_channel(5.0, 6));
+  while (cell.now() < TimePoint{} + sec(45)) cell.step();
   ScenarioSpec c;
   c.scheme = SchemeId::kSprout;
-  c.link = LinkSpec::traces(traces[0], traces[1]);
+  c.link = LinkSpec::traces(Trace(cell.remove_user(1), sec(45)),
+                            Trace(cell.remove_user(2), sec(45)));
   c.run_time = sec(40);
   c.warmup = sec(10);
   const ScenarioResult r = run_scenario(c);
