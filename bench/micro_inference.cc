@@ -27,15 +27,21 @@ void BM_TransitionMatrixBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_TransitionMatrixBuild)->Arg(64)->Arg(256);
 
+// The cold build of one forecast table set (what a DeliveryForecaster pays
+// on a cache miss): the horizon evolution folded into the rate CDF tables,
+// or with count noise into the Poisson-mixture tables.
 void BM_ForecasterBuild(benchmark::State& state) {
   SproutParams params;
-  params.count_noise_in_forecast = true;  // the expensive table variant
+  params.count_noise_in_forecast = state.range(0) != 0;
+  const auto kernel = TransitionMatrixCache::get(params);
   for (auto _ : state) {
-    DeliveryForecaster f(params);
-    benchmark::DoNotOptimize(&f);
+    ForecastTables tables(params, *kernel);
+    benchmark::DoNotOptimize(&tables);
   }
 }
-BENCHMARK(BM_ForecasterBuild);
+BENCHMARK(BM_ForecasterBuild)
+    ->Arg(0)   // rate-quantile tables (default)
+    ->Arg(1);  // Poisson-mixture tables (paper-literal ablation)
 
 void BM_FilterEvolve(benchmark::State& state) {
   SproutParams params;
@@ -97,9 +103,8 @@ void BM_EvolveDense(benchmark::State& state) {
 }
 BENCHMARK(BM_EvolveDense)->Arg(64)->Arg(256);
 
-// The fused quantile scan: one forecast() at the paper's config, with the
-// Poisson-mixture tables engaged (the path the transposed layout and the
-// monotone-floor short-circuit accelerate).
+// One forecast() at the paper's config with the Poisson-mixture tables
+// engaged: a bisection of dot probes per horizon over the folded tables.
 void BM_ForecastMixtureQuantile(benchmark::State& state) {
   SproutParams params;
   params.count_noise_in_forecast = true;

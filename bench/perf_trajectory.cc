@@ -1,8 +1,8 @@
 // Perf-trajectory tracker for the inference fast paths (PR 6 onward).
 //
-// Measures the banded evolve kernel — the one evolve every filter and
-// forecast runs — against the exact dense reference, and the mixture
-// forecast, then emits one machine-readable BENCH_<n>.json artifact.
+// Measures the banded evolve kernel — the one evolve every filter runs —
+// against the exact dense reference, and the forecast in both modes, then
+// emits one machine-readable BENCH_<n>.json artifact.
 // Checked-in artifacts form the repo's perf trajectory: each perf change
 // adds a BENCH_<n>.json, and CI's perf-smoke job re-measures the current
 // tree against the floors recorded here (--check), so a regression that
@@ -25,11 +25,17 @@
 // (the exact production branch shape) must cost under 1% over the bare
 // evolve, measured and floored identically to the obs guard.
 //
+// The forecast's horizon evolution is folded into tables, so a forecast
+// runs no evolve.  The default forecast (rate quantile, no count noise) is
+// timed as forecast_rate_8h, beside the count-noise forecast_mixture_8h.
+// An 8-horizon forecast that still evolved would cost at least 8 banded
+// evolves; the folded one must stay within 3.
+//
 // Usage:
 //   perf_trajectory [--json FILE] [--min-time S] [--bins N] [--check]
-//   --check exits 1 if banded < 2x dense at the configured bins, or obs-on
-//   / recorder-off overhead >= 1% on the banded evolve in all three
-//   attempts.
+//   --check exits 1 if banded < 2x dense at the configured bins, obs-on /
+//   recorder-off overhead >= 1% on the banded evolve in all three
+//   attempts, or the default forecast costs more than 3 banded evolves.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -237,17 +243,22 @@ int run(const Options& opt) {
     if (rec_overhead < 0.01) break;
   }
 
-  // --- the fused mixture-quantile forecast (transposed tables + floor) ---
-  SproutParams mixture_params = params;
-  mixture_params.count_noise_in_forecast = true;
-  const DeliveryForecaster forecaster(mixture_params);
-  const RateDistribution posterior = locked_posterior(mixture_params, 10);
-  TimePoint now{};
-  const double forecast_ns = time_ns(opt.min_time_s, [&] {
-    now += mixture_params.tick;
-    DeliveryForecast f = forecaster.forecast(posterior, now);
-    if (f.cumulative_at(8) < 0) std::abort();  // keep the result live
-  });
+  // --- the 8-horizon forecast over the folded tables, in both modes ---
+  const auto forecast_ns = [&](bool count_noise) {
+    SproutParams forecast_params = params;
+    forecast_params.count_noise_in_forecast = count_noise;
+    const DeliveryForecaster forecaster(forecast_params);
+    const RateDistribution posterior = locked_posterior(forecast_params, 10);
+    TimePoint now{};
+    return time_ns(opt.min_time_s, [&] {
+      now += forecast_params.tick;
+      DeliveryForecast f = forecaster.forecast(posterior, now);
+      if (f.cumulative_at(8) < 0) std::abort();  // keep the result live
+    });
+  };
+  const double rate_forecast_ns = forecast_ns(false);
+  const double mixture_forecast_ns = forecast_ns(true);
+  const double forecast_in_evolves = rate_forecast_ns / banded_ns;
 
   const std::string json = [&] {
     char buf[2048];
@@ -255,7 +266,7 @@ int run(const Options& opt) {
         buf, sizeof(buf),
         "{\n"
         "  \"artifact\": \"perf_trajectory\",\n"
-        "  \"pr\": 10,\n"
+        "  \"pr\": 17,\n"
         "  \"config\": {\n"
         "    \"bins\": %d,\n"
         "    \"band_epsilon\": %.3g,\n"
@@ -267,11 +278,13 @@ int run(const Options& opt) {
         "  \"timings_ns\": {\n"
         "    \"evolve_dense\": %.1f,\n"
         "    \"evolve_banded\": %.1f,\n"
+        "    \"forecast_rate_8h\": %.1f,\n"
         "    \"forecast_mixture_8h\": %.1f\n"
         "  },\n"
         "  \"speedups\": {\n"
         "    \"banded_vs_dense\": %.3f\n"
         "  },\n"
+        "  \"forecast_rate_in_banded_evolves\": %.3f,\n"
         "  \"obs\": {\n"
         "    \"on_overhead_banded\": %.4f,\n"
         "    \"attempts\": %d\n"
@@ -283,13 +296,15 @@ int run(const Options& opt) {
         "  \"floors\": {\n"
         "    \"banded_vs_dense\": 2.0,\n"
         "    \"obs_on_overhead_banded_max\": 0.01,\n"
-        "    \"recorder_off_overhead_banded_max\": 0.01\n"
+        "    \"recorder_off_overhead_banded_max\": 0.01,\n"
+        "    \"forecast_rate_in_banded_evolves_max\": 3.0\n"
         "  }\n"
         "}\n",
         opt.bins, params.band_epsilon, kernels::active_backend(),
         matrix.mean_bandwidth(), matrix.max_bandwidth(), opt.min_time_s,
-        dense_ns, banded_ns, forecast_ns, banded_speedup, obs_overhead,
-        obs_attempts, rec_overhead, rec_attempts);
+        dense_ns, banded_ns, rate_forecast_ns, mixture_forecast_ns,
+        banded_speedup, forecast_in_evolves, obs_overhead, obs_attempts,
+        rec_overhead, rec_attempts);
     return std::string(buf);
   }();
 
@@ -327,11 +342,19 @@ int run(const Options& opt) {
                    rec_overhead * 100.0, rec_attempts);
       ok = false;
     }
+    if (forecast_in_evolves > 3.0) {
+      std::fprintf(stderr,
+                   "FAIL: default forecast costs %.2f banded evolves "
+                   "(floor 3.0; an evolving forecast costs at least 8)\n",
+                   forecast_in_evolves);
+      ok = false;
+    }
     if (!ok) return 1;
     std::fprintf(stderr,
                  "perf floors hold: banded %.2fx, obs overhead %.2f%%, "
-                 "recorder-off overhead %.2f%%\n",
-                 banded_speedup, obs_overhead * 100.0, rec_overhead * 100.0);
+                 "recorder-off overhead %.2f%%, forecast %.2f evolves\n",
+                 banded_speedup, obs_overhead * 100.0, rec_overhead * 100.0,
+                 forecast_in_evolves);
   }
   return 0;
 }

@@ -10,9 +10,7 @@ namespace sprout {
 
 AdaptiveForecastStrategy::AdaptiveForecastStrategy(const SproutParams& params,
                                                    AdaptiveParams adaptive)
-    : base_params_(params),
-      adaptive_(std::move(adaptive)),
-      forecaster_(params) {
+    : base_params_(params), adaptive_(std::move(adaptive)) {
   assert(!adaptive_.hypotheses.empty());
   members_.reserve(adaptive_.hypotheses.size());
   for (const ModelHypothesis& h : adaptive_.hypotheses) {
@@ -22,7 +20,7 @@ AdaptiveForecastStrategy::AdaptiveForecastStrategy(const SproutParams& params,
     m.params.sigma_pps_per_sqrt_s = h.sigma_pps_per_sqrt_s;
     m.params.outage_escape_rate_per_s = h.outage_escape_rate_per_s;
     m.filter = std::make_unique<SproutBayesFilter>(m.params);
-    m.transitions = TransitionMatrixCache::get(m.params);
+    m.tables = ForecastTableCache::get(m.params);
     m.log_weight = 0.0;  // uniform prior over hypotheses
     members_.push_back(std::move(m));
   }
@@ -112,39 +110,14 @@ RateDistribution AdaptiveForecastStrategy::mixture() const {
 }
 
 DeliveryForecast AdaptiveForecastStrategy::make_forecast(TimePoint now) const {
-  DeliveryForecast f;
-  f.origin = now;
-  f.tick = base_params_.tick;
-  f.cumulative_bytes.reserve(
-      static_cast<std::size_t>(base_params_.forecast_horizon_ticks));
-
-  // Evolve each hypothesis forward under its OWN kernel, form the mixture
-  // at every horizon, and take the cautious quantile of the mixture.  (All
-  // hypotheses share the λ grid, so the shared forecaster tables apply.)
-  std::vector<RateDistribution> evolved;
-  evolved.reserve(members_.size());
-  for (const Member& m : members_) evolved.push_back(m.filter->distribution());
   const std::vector<double> w = hypothesis_weights();
-
-  int floor_packets = 0;
-  for (int h = 1; h <= base_params_.forecast_horizon_ticks; ++h) {
-    RateDistribution mix(base_params_.num_bins);
-    std::vector<double>& p = mix.mutable_probabilities();
-    std::fill(p.begin(), p.end(), 0.0);
-    for (std::size_t k = 0; k < members_.size(); ++k) {
-      members_[k].transitions->evolve(evolved[k]);
-      for (int i = 0; i < base_params_.num_bins; ++i) {
-        p[static_cast<std::size_t>(i)] += w[k] * evolved[k].probability(i);
-      }
-    }
-    mix.normalize();
-    // Cumulative deliveries cannot decrease with a longer horizon; the
-    // previous horizon's count seeds this one's quantile search.
-    floor_packets = forecaster_.quantile_packets(mix, h, floor_packets);
-    f.cumulative_bytes.push_back(static_cast<ByteCount>(floor_packets) *
-                                 base_params_.mtu);
+  std::vector<ForecastTerm> terms;
+  terms.reserve(members_.size());
+  for (std::size_t k = 0; k < members_.size(); ++k) {
+    terms.push_back({w[k], &members_[k].filter->distribution(),
+                     members_[k].tables.get()});
   }
-  return f;
+  return folded_forecast(base_params_, terms, /*normalize=*/true, now);
 }
 
 double AdaptiveForecastStrategy::estimated_rate_pps() const {

@@ -12,9 +12,13 @@
 // "vary slowly with time" the paper sketches.
 //
 // The forecast is the cautious quantile of the *mixture* posterior
-// Σ_k w_k · p_k(λ).  All hypotheses share the same λ grid (σ affects only
-// the transition kernel), so the mixture is a plain weighted sum of bin
-// probabilities and the existing forecaster machinery applies unchanged.
+// Σ_k w_k · p_k(λ), each member evolved under its OWN kernel.  All
+// hypotheses share the λ grid, but σ shapes the kernel, so each member
+// folds its evolution into its own forecast tables (core/forecaster.h;
+// 8 · H · num_bins² bytes each in rate mode, shared process-wide with any
+// plain Sprout flow of the same σ).  A CDF probe of the mixture is then one
+// weighted dot per member — Σ_k w_k · (p_k · T_{k,h}[row]) — compared
+// against the target times the mixture's evolved mass, with no evolve.
 #pragma once
 
 #include <memory>
@@ -68,8 +72,8 @@ class AdaptiveForecastStrategy : public ForecastStrategy {
     ModelHypothesis hypothesis;
     SproutParams params;  // base params with σ/λz overridden
     std::unique_ptr<SproutBayesFilter> filter;
-    // Cache-shared kernel for forecast evolution (TransitionMatrixCache).
-    std::shared_ptr<const TransitionMatrix> transitions;
+    // Cache-shared folded tables of this member's kernel.
+    std::shared_ptr<const ForecastTables> tables;
     double log_weight = 0.0;
   };
 
@@ -85,7 +89,6 @@ class AdaptiveForecastStrategy : public ForecastStrategy {
   SproutParams base_params_;
   AdaptiveParams adaptive_;
   std::vector<Member> members_;
-  DeliveryForecaster forecaster_;  // shared quantile machinery (grid-only)
 };
 
 std::unique_ptr<ForecastStrategy> make_adaptive_strategy(

@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -45,15 +46,15 @@ class RateDistribution {
 
 // Precomputed one-tick evolution kernel.  Immutable after construction
 // (evolve() works through a thread-local scratch buffer), so one matrix is
-// safely shared across filters, forecasters and sweep threads — see
+// safely shared across filters, forecast-table builds and sweep threads — see
 // TransitionMatrixCache below.
 //
 // Two evolution paths are built from the same Gaussian rows:
 //  * banded: per-row [lo, hi) extents retaining ≥ 1−ε of the row's mass
 //    (ε = SproutParams::band_epsilon), packed contiguously and
 //    renormalized, evolved in O(bins · bandwidth) with vectorized
-//    accumulation (util/kernels.h) — the one evolve every filter and
-//    forecast runs;
+//    accumulation (util/kernels.h) — the one evolve every filter runs, and
+//    the kernel the forecaster's tables fold (core/forecaster.h);
 //  * dense: the full bins² pass, bit-for-bit the historical arithmetic,
 //    kept as the kernel-level oracle for tests and benches.
 // ε = 0 trims only entries that are EXACTLY zero (underflowed Gaussian
@@ -75,10 +76,17 @@ class TransitionMatrix {
   }
   [[nodiscard]] int num_bins() const { return static_cast<int>(n_); }
 
-  // Band introspection (tests, benches, perf trajectory).
+  // The band: row i's columns [row_extent(i)) and the packed, renormalized
+  // weights band_row(i) that evolve() applies to them.  The forecaster
+  // folds this exact kernel into its tables; tests, benches and the perf
+  // trajectory introspect it.
   [[nodiscard]] std::pair<int, int> row_extent(int row) const {
     return {band_lo_[static_cast<std::size_t>(row)],
             band_hi_[static_cast<std::size_t>(row)]};
+  }
+  [[nodiscard]] std::span<const double> band_row(int row) const {
+    const auto i = static_cast<std::size_t>(row);
+    return {band_.data() + band_off_[i], band_off_[i + 1] - band_off_[i]};
   }
   [[nodiscard]] int max_bandwidth() const { return max_bandwidth_; }
   [[nodiscard]] double mean_bandwidth() const { return mean_bandwidth_; }
@@ -102,9 +110,9 @@ class TransitionMatrix {
 
 // Process-wide cache of transition matrices, keyed by the SproutParams
 // fields that determine the kernel (bins, rate grid, tick, σ, λz, band ε) —
-// the same pattern as the forecaster's Poisson-CDF ForecastTableCache.
-// Building a matrix is ~num_bins² Gaussian integrals and every simulation
-// constructs at least three (sender filter, receiver filter, forecaster);
+// the same pattern as the forecaster's ForecastTableCache.  Building a
+// matrix is ~num_bins² Gaussian integrals and every simulation needs it at
+// least three times (sender filter, receiver filter, forecast-table build);
 // the cache makes that one build per distinct parameter set per process.
 // Reuse is observable through the obs registry counters
 // "cache.transition_matrix.hits" / ".misses" (src/obs/metrics.h).

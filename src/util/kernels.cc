@@ -16,14 +16,25 @@ namespace {
 
 // --- scalar path ---------------------------------------------------------
 //
-// The axpy loop is element-wise, so whatever the compiler does with it
-// (SSE2, unrolling) cannot change results — IEEE add/mul per element, and
-// FMA contraction is off by default without -ffast-math.  The dot loop
-// spells out the same four-accumulator pattern the AVX2 path uses so both
-// reduce in the same order.
+// The axpy and panel16 loops are element-wise, so whatever the compiler
+// does with them (SSE2, unrolling) cannot change results — IEEE add/mul per
+// element, and FMA contraction is off by default without -ffast-math.  The
+// dot loop spells out the same four-accumulator pattern the AVX2 path uses
+// so both reduce in the same order.
 
 void axpy_scalar(double* dst, const double* src, double a, std::size_t n) {
   for (std::size_t j = 0; j < n; ++j) dst[j] += a * src[j];
+}
+
+void panel16_scalar(double* out, const double* w, const double* x,
+                    std::size_t stride, std::size_t n) {
+  double acc[16] = {};
+  for (std::size_t t = 0; t < n; ++t) {
+    const double wt = w[t];
+    const double* row = x + t * stride;
+    for (int k = 0; k < 16; ++k) acc[k] += wt * row[k];
+  }
+  for (int k = 0; k < 16; ++k) out[k] = acc[k];
 }
 
 double dot_scalar(const double* a, const double* b, std::size_t n) {
@@ -75,20 +86,48 @@ __attribute__((target("avx2"))) double dot_avx2(const double* a,
   return sum;
 }
 
+__attribute__((target("avx2"))) void panel16_avx2(double* out,
+                                                  const double* w,
+                                                  const double* x,
+                                                  std::size_t stride,
+                                                  std::size_t n) {
+  // Four independent accumulators cover the panel, so consecutive terms'
+  // adds overlap instead of waiting on one chain.  Mul + add, not FMA.
+  __m256d acc0 = _mm256_setzero_pd();
+  __m256d acc1 = _mm256_setzero_pd();
+  __m256d acc2 = _mm256_setzero_pd();
+  __m256d acc3 = _mm256_setzero_pd();
+  for (std::size_t t = 0; t < n; ++t) {
+    const __m256d wt = _mm256_set1_pd(w[t]);
+    const double* row = x + t * stride;
+    acc0 = _mm256_add_pd(acc0, _mm256_mul_pd(wt, _mm256_loadu_pd(row)));
+    acc1 = _mm256_add_pd(acc1, _mm256_mul_pd(wt, _mm256_loadu_pd(row + 4)));
+    acc2 = _mm256_add_pd(acc2, _mm256_mul_pd(wt, _mm256_loadu_pd(row + 8)));
+    acc3 = _mm256_add_pd(acc3, _mm256_mul_pd(wt, _mm256_loadu_pd(row + 12)));
+  }
+  _mm256_storeu_pd(out, acc0);
+  _mm256_storeu_pd(out + 4, acc1);
+  _mm256_storeu_pd(out + 8, acc2);
+  _mm256_storeu_pd(out + 12, acc3);
+}
+
 #endif  // SPROUT_KERNELS_HAVE_AVX2
 
 using AxpyFn = void (*)(double*, const double*, double, std::size_t);
 using DotFn = double (*)(const double*, const double*, std::size_t);
+using Panel16Fn = void (*)(double*, const double*, const double*, std::size_t,
+                           std::size_t);
 
 struct Backend {
   AxpyFn axpy;
   DotFn dot;
+  Panel16Fn panel16;
   const char* name;
 };
 
-constexpr Backend kScalar{axpy_scalar, dot_scalar, "scalar"};
+constexpr Backend kScalar{axpy_scalar, dot_scalar, panel16_scalar, "scalar"};
 #if SPROUT_KERNELS_HAVE_AVX2
-constexpr Backend kAvx2{axpy_avx2, dot_avx2, "avx2"};
+constexpr Backend kAvx2{axpy_avx2, dot_avx2, panel16_avx2, "avx2"};
 #endif
 
 bool avx2_supported() {
@@ -137,6 +176,11 @@ void axpy(double* dst, const double* src, double a, std::size_t n) {
 
 double dot(const double* a, const double* b, std::size_t n) {
   return g_backend.dot(a, b, n);
+}
+
+void panel16(double* out, const double* w, const double* x,
+             std::size_t stride, std::size_t n) {
+  g_backend.panel16(out, w, x, stride, n);
 }
 
 const char* active_backend() { return g_backend.name; }

@@ -139,7 +139,7 @@ TEST(Sweep, TraceCacheMaterializesEachPresetOnce) {
 TEST(Sweep, ForecasterTablesBuildOncePerDistinctParams) {
   // All-Sprout sweep with default SproutParams: every cell builds two
   // forecaster-backed endpoints (plus the per-cell Sprout machinery), but
-  // the Poisson CDF tables must be constructed at most once — every other
+  // the forecast tables must be constructed at most once — every other
   // lookup is a cache hit.  Counters are process-global, so measure deltas.
   std::vector<ScenarioSpec> specs;
   for (const std::uint64_t seed : {1ull, 2ull, 3ull, 4ull}) {

@@ -67,18 +67,35 @@ TEST(Kernels, BackendsAreBitIdentical) {
     std::vector<double> dst_vec = random_vec(rng, n);
     std::vector<double> dst_sca = dst_vec;
 
+    // panel16 over an n-row matrix whose row stride is off the panel width.
+    const std::size_t stride = 24;
+    const std::vector<double> x = random_vec(rng, n * stride);
+    double panel_vec[16];
+    double panel_sca[16];
+
     ASSERT_TRUE(force_backend("avx2"));
     const double dot_vec = dot(a.data(), b.data(), n);
     axpy(dst_vec.data(), a.data(), 0.618, n);
+    panel16(panel_vec, a.data(), x.data(), stride, n);
 
     ASSERT_TRUE(force_backend("scalar"));
     const double dot_sca = dot(a.data(), b.data(), n);
     axpy(dst_sca.data(), a.data(), 0.618, n);
+    panel16(panel_sca, a.data(), x.data(), stride, n);
 
     EXPECT_EQ(std::memcmp(&dot_vec, &dot_sca, sizeof(double)), 0) << "n=" << n;
     EXPECT_EQ(std::memcmp(dst_vec.data(), dst_sca.data(), n * sizeof(double)),
               0)
         << "n=" << n;
+    EXPECT_EQ(std::memcmp(panel_vec, panel_sca, sizeof panel_vec), 0)
+        << "n=" << n;
+    // Each lane is the in-order multiply-then-add sum, bit for bit.
+    for (std::size_t k = 0; k < 16; ++k) {
+      double acc = 0.0;
+      for (std::size_t t = 0; t < n; ++t) acc += a[t] * x[t * stride + k];
+      EXPECT_EQ(std::memcmp(&acc, &panel_sca[k], sizeof acc), 0)
+          << "n=" << n << " k=" << k;
+    }
   }
 }
 
