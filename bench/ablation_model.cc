@@ -1,112 +1,74 @@
 // Ablations of the design choices DESIGN.md calls out, on the Verizon LTE
 // downlink: the model's frozen parameters (σ, λz, tick, bins), the sender
-// lookahead, and the forecast-quantile variant.
+// lookahead, and the forecast-quantile variant.  Each variant is one Sprout
+// flow carrying its own SproutParams, and the variants run as one sweep.
 #include <iostream>
-#include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "bench_common.h"
-#include "core/endpoint.h"
 #include "core/params.h"
-#include "core/source.h"
-#include "link/cellsim.h"
-#include "metrics/flow_metrics.h"
-#include "sim/relay.h"
-#include "sim/simulator.h"
 #include "util/table.h"
-
-// run_scenario() does not expose every model knob; this ablation harness
-// rebuilds the Sprout topology directly for full control.
-namespace {
-
-using namespace sprout;
-
-struct AblationResult {
-  double throughput_kbps;
-  double self_delay_ms;
-};
-
-AblationResult run_with_params(const SproutParams& params) {
-  Simulator sim;
-  const LinkPreset& fwd_preset =
-      find_link_preset("Verizon LTE", LinkDirection::kDownlink);
-  const LinkPreset& rev_preset =
-      find_link_preset("Verizon LTE", LinkDirection::kUplink);
-  const Duration run = bench::run_seconds();
-  RelaySink fwd_egress, rev_egress;
-  CellsimLink fwd_link(sim, preset_trace(fwd_preset, run + sec(2)), {},
-                       fwd_egress);
-  CellsimLink rev_link(sim, preset_trace(rev_preset, run + sec(2)), {},
-                       rev_egress);
-  BulkDataSource bulk;
-  SproutEndpoint tx(sim, params, SproutVariant::kBayesian, 1, &bulk);
-  SproutEndpoint rx(sim, params, SproutVariant::kBayesian, 1, nullptr);
-  tx.attach_network(fwd_link);
-  rx.attach_network(rev_link);
-  MeasuredSink measured(sim, rx);
-  fwd_egress.set_target(measured);
-  rev_egress.set_target(tx);
-  tx.start();
-  rx.start(params.tick * 7 / 20);
-  sim.run_until(TimePoint{} + run);
-
-  const TimePoint from = TimePoint{} + run / 4;
-  const TimePoint to = TimePoint{} + run;
-  const double omni = omniscient_delay_percentile_ms(fwd_link.trace(), 95.0,
-                                                     from, to, msec(20));
-  return {measured.metrics().throughput_kbps(from, to),
-          std::max(0.0, measured.metrics().delay_percentile_ms(95.0, from, to) -
-                            omni)};
-}
-
-void print_row(TableWriter& t, const std::string& label,
-               const SproutParams& params) {
-  const AblationResult r = run_with_params(params);
-  t.row().cell(label).cell(r.throughput_kbps, 0).cell(r.self_delay_ms, 0);
-}
-
-}  // namespace
 
 int main() {
   using namespace sprout;
 
   std::cout << "=== Ablations (Verizon LTE downlink) ===\n\n";
-  TableWriter t({"Variant", "Throughput (kbps)", "Self-inflicted delay (ms)"});
 
-  SproutParams base;
-  print_row(t, "baseline (paper params)", base);
-
+  const SproutParams base;
+  std::vector<std::pair<std::string, SproutParams>> variants;
+  variants.emplace_back("baseline (paper params)", base);
   for (double sigma : {50.0, 500.0}) {
     SproutParams p = base;
     p.sigma_pps_per_sqrt_s = sigma;
-    print_row(t, "sigma = " + format_double(sigma, 0) + " pkt/s/sqrt(s)", p);
+    variants.emplace_back(
+        "sigma = " + format_double(sigma, 0) + " pkt/s/sqrt(s)", p);
   }
   for (double lz : {0.2, 5.0}) {
     SproutParams p = base;
     p.outage_escape_rate_per_s = lz;
-    print_row(t, "lambda_z = " + format_double(lz, 1) + " /s", p);
+    variants.emplace_back("lambda_z = " + format_double(lz, 1) + " /s", p);
   }
   for (int tick_ms : {10, 40, 80}) {
     SproutParams p = base;
     p.tick = msec(tick_ms);
-    print_row(t, "tick = " + std::to_string(tick_ms) + " ms", p);
+    variants.emplace_back("tick = " + std::to_string(tick_ms) + " ms", p);
   }
   for (int bins : {64, 128}) {
     SproutParams p = base;
     p.num_bins = bins;
-    print_row(t, std::to_string(bins) + " rate bins", p);
+    variants.emplace_back(std::to_string(bins) + " rate bins", p);
   }
   for (int lookahead : {3, 8}) {
     SproutParams p = base;
     p.sender_lookahead_ticks = lookahead;
-    print_row(t,
-              "lookahead = " + std::to_string(lookahead) + " ticks (" +
-                  std::to_string(lookahead * 20) + " ms tolerance)",
-              p);
+    variants.emplace_back("lookahead = " + std::to_string(lookahead) +
+                              " ticks (" + std::to_string(lookahead * 20) +
+                              " ms tolerance)",
+                          p);
   }
   {
     SproutParams p = base;
     p.count_noise_in_forecast = true;
-    print_row(t, "Poisson-mixture forecast (paper-literal text)", p);
+    variants.emplace_back("Poisson-mixture forecast (paper-literal text)", p);
+  }
+
+  const LinkPreset& link =
+      find_link_preset("Verizon LTE", LinkDirection::kDownlink);
+  std::vector<ScenarioSpec> specs;
+  for (const auto& variant : variants) {
+    specs.push_back(bench::hetero_spec(
+        {FlowSpec::of(SchemeId::kSprout).with_params(variant.second)}, link));
+  }
+  const std::vector<ScenarioResult> results = bench::sweep(specs);
+
+  TableWriter t({"Variant", "Throughput (kbps)", "Self-inflicted delay (ms)"});
+  for (std::size_t i = 0; i < variants.size(); ++i) {
+    t.row()
+        .cell(variants[i].first)
+        .cell(results[i].throughput_kbps(), 0)
+        .cell(results[i].self_inflicted_delay_ms(), 0);
   }
   t.print(std::cout);
   std::cout << "\nNotes: larger sigma forgets faster (more caution, less "

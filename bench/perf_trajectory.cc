@@ -1,52 +1,60 @@
-// Perf-trajectory tracker for the inference fast paths (PR 6 onward).
+// Perf trajectory of the receiver's inference path, and its CPU budget.
 //
-// Measures the banded evolve kernel — the one evolve every filter runs —
-// against the exact dense reference, and the forecast in both modes, then
-// emits one machine-readable BENCH_<n>.json artifact.
+// One plain-chrono harness: every timing runs for a fixed minimum of 2 s
+// at SproutParams' 256 bins, with no statistics framework and stable JSON
+// keys, and the run emits one machine-readable BENCH_<n>.json artifact.
 // Checked-in artifacts form the repo's perf trajectory: each perf change
 // adds a BENCH_<n>.json, and CI's perf-smoke job re-measures the current
 // tree against the floors recorded here (--check), so a regression that
 // erases a claimed speedup fails the build instead of rotting silently.
 //
-// Unlike bench/micro_inference (google-benchmark, interactive tables), this
-// tool is plain chrono: fixed minimum measurement time, no statistics
-// framework, stable JSON keys.
+// The four floors:
+//  * the banded evolve — the one evolve every filter runs — must run at
+//    least 2x faster than the exact dense reference;
+//  * enabling observability must cost the banded evolve under 1%: the
+//    evolve is timed with obs::enabled() off and on in paired alternating
+//    rounds, and the median on/off ratio is the overhead (best of three
+//    attempts, since sub-percent timing on shared machines is noisy while
+//    a real regression — e.g. per-call counters in the kernel wrappers —
+//    shows up in every round of every attempt);
+//  * the flight recorder's DISABLED state must cost the same evolve under
+//    1%, measured and floored identically: the engine's tap sites are one
+//    null-check per event when record_timeline is off, so the guarded arm
+//    carries that check through a volatile null recorder pointer (the
+//    exact production branch shape);
+//  * the default 8-horizon forecast (rate quantile, no count noise) must
+//    cost at most 3 banded evolves.  The horizon evolution is folded into
+//    tables, so a forecast runs no evolve; one that still evolved would
+//    cost at least 8.
 //
-// PR 9 adds an observability-overhead guard: the banded evolve is timed
-// with obs::enabled() off and on in paired alternating rounds, and the
-// median on/off ratio must stay under 1% (best of three attempts, since
-// sub-percent timing on shared machines is noisy while a real regression —
-// e.g. per-call counters in the kernel wrappers — shows up in every round
-// of every attempt).
-//
-// PR 10 adds the same guard for the flight recorder's DISABLED state: the
-// engine's tap sites are one null-check per event when record_timeline is
-// off, and the banded evolve guarded by a volatile null recorder pointer
-// (the exact production branch shape) must cost under 1% over the bare
-// evolve, measured and floored identically to the obs guard.
-//
-// The forecast's horizon evolution is folded into tables, so a forecast
-// runs no evolve.  The default forecast (rate quantile, no count noise) is
-// timed as forecast_rate_8h, beside the count-noise forecast_mixture_8h.
-// An 8-horizon forecast that still evolved would cost at least 8 banded
-// evolves; the folded one must stay within 3.
+// Report-only timings (no floor): cold builds of the transition matrix and
+// of the forecast tables in both modes, one observe on the locked
+// posterior, full receiver ticks (evolve + observe + 8-horizon forecast)
+// in both forecast modes and for the Adaptive, MMPP and Empirical
+// strategies, GCC's per-packet receiver pipeline, and one wire-message
+// round trip.  receiver_core_pct is the default receiver tick's share of
+// one core at 50 ticks/s: the paper's "under 5% of a PC core", measured.
 //
 // Usage:
-//   perf_trajectory [--json FILE] [--min-time S] [--bins N] [--check]
-//   --check exits 1 if banded < 2x dense at the configured bins, obs-on /
-//   recorder-off overhead >= 1% on the banded evolve in all three
-//   attempts, or the default forecast costs more than 3 banded evolves.
+//   perf_trajectory [--json FILE] [--check]
+//   --check exits 1 if any of the four floors above fails.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "cc/gcc.h"
+#include "core/adaptive.h"
+#include "core/alt_models.h"
 #include "core/forecaster.h"
 #include "core/params.h"
 #include "core/rate_model.h"
+#include "core/strategy.h"
+#include "core/wire.h"
 #include "metrics/recorder.h"
 #include "obs/metrics.h"
 #include "util/kernels.h"
@@ -56,24 +64,27 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+// Minimum measurement time of every time_ns() timing.
+constexpr double kMinTimeS = 2.0;
+
 double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-// Runs `op` repeatedly for at least `min_time_s` (after one warmup batch)
-// and returns nanoseconds per call.
+// Runs `op` in batches of `batch` calls for at least kMinTimeS (after a
+// half-batch warmup) and returns nanoseconds per call.
 template <typename Op>
-double time_ns(double min_time_s, Op&& op) {
+double time_ns(Op&& op, int batch = 64) {
   // Warmup: touch caches, settle the branch predictors.
-  for (int i = 0; i < 32; ++i) op();
+  for (int i = 0; i < batch / 2; ++i) op();
   std::int64_t iters = 0;
   const Clock::time_point t0 = Clock::now();
   double elapsed = 0.0;
   do {
-    for (int i = 0; i < 64; ++i) op();
-    iters += 64;
+    for (int i = 0; i < batch; ++i) op();
+    iters += batch;
     elapsed = seconds_since(t0);
-  } while (elapsed < min_time_s);
+  } while (elapsed < kMinTimeS);
   return elapsed * 1e9 / static_cast<double>(iters);
 }
 
@@ -142,28 +153,32 @@ double paired_overhead_ratio(Base&& base, Guarded&& guarded) {
   return ratios[ratios.size() / 2];
 }
 
-// A realistic locked-on posterior (filter run against a steady 500 pps
-// link): engages the banded row skipping exactly as production does.
-RateDistribution locked_posterior(const SproutParams& params, int per_tick) {
+// A realistic locked-on filter (run against a steady 500 pps link): its
+// posterior engages the banded row skipping exactly as production does.
+SproutBayesFilter locked_filter(const SproutParams& params) {
   SproutBayesFilter filter(params);
   for (int t = 0; t < 50; ++t) {
     filter.evolve();
-    filter.observe(per_tick);
+    filter.observe(10);
   }
-  return filter.distribution();
+  return filter;
+}
+
+// printf onto the end of a string.
+template <typename... Args>
+void appendf(std::string& out, const char* format, Args... args) {
+  char buf[1024];
+  std::snprintf(buf, sizeof(buf), format, args...);
+  out += buf;
 }
 
 struct Options {
   std::string json_path;
-  double min_time_s = 0.5;
-  int bins = 256;
   bool check = false;
 };
 
 [[noreturn]] void usage_and_exit(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s [--json FILE] [--min-time S] [--bins N] [--check]\n",
-               argv0);
+  std::fprintf(stderr, "usage: %s [--json FILE] [--check]\n", argv0);
   std::exit(2);
 }
 
@@ -171,40 +186,26 @@ Options parse_options(int argc, char** argv) {
   Options opt;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto value = [&]() -> const char* {
-      if (i + 1 >= argc) usage_and_exit(argv[0]);
-      return argv[++i];
-    };
-    if (arg == "--json") {
-      opt.json_path = value();
-    } else if (arg == "--min-time") {
-      opt.min_time_s = std::atof(value());
-    } else if (arg == "--bins") {
-      opt.bins = std::atoi(value());
+    if (arg == "--json" && i + 1 < argc) {
+      opt.json_path = argv[++i];
     } else if (arg == "--check") {
       opt.check = true;
     } else {
       usage_and_exit(argv[0]);
     }
   }
-  if (opt.min_time_s <= 0.0 || opt.bins < 2) {
-    usage_and_exit(argv[0]);
-  }
   return opt;
 }
 
 int run(const Options& opt) {
-  SproutParams params;
-  params.num_bins = opt.bins;
+  const SproutParams params;
   const TransitionMatrix matrix(params);
 
   // --- banded vs dense, single posterior ---
-  RateDistribution banded_dist = locked_posterior(params, 10);
+  RateDistribution banded_dist = locked_filter(params).distribution();
   RateDistribution dense_dist = banded_dist;
-  const double banded_ns =
-      time_ns(opt.min_time_s, [&] { matrix.evolve(banded_dist); });
-  const double dense_ns =
-      time_ns(opt.min_time_s, [&] { matrix.evolve_dense(dense_dist); });
+  const double banded_ns = time_ns([&] { matrix.evolve(banded_dist); });
+  const double dense_ns = time_ns([&] { matrix.evolve_dense(dense_dist); });
   const double banded_speedup = dense_ns / banded_ns;
 
   // --- obs-on overhead on the banded evolve (best of three attempts) ---
@@ -226,7 +227,7 @@ int run(const Options& opt) {
   // record_timeline is off, checked once per event.  The volatile load
   // keeps the optimizer from proving the branch dead the way it could
   // never prove it for the engine's per-flow pointers.
-  RateDistribution rec_dist = locked_posterior(params, 10);
+  RateDistribution rec_dist = locked_filter(params).distribution();
   FlowTimelineRecorder* volatile rec_tap = nullptr;
   double rec_overhead = 1e18;
   int rec_attempts = 0;
@@ -243,15 +244,20 @@ int run(const Options& opt) {
     if (rec_overhead < 0.01) break;
   }
 
+  const auto with_count_noise = [&](bool count_noise) {
+    SproutParams p = params;
+    p.count_noise_in_forecast = count_noise;
+    return p;
+  };
+
   // --- the 8-horizon forecast over the folded tables, in both modes ---
   const auto forecast_ns = [&](bool count_noise) {
-    SproutParams forecast_params = params;
-    forecast_params.count_noise_in_forecast = count_noise;
-    const DeliveryForecaster forecaster(forecast_params);
-    const RateDistribution posterior = locked_posterior(forecast_params, 10);
+    const SproutParams p = with_count_noise(count_noise);
+    const DeliveryForecaster forecaster(p);
+    const RateDistribution posterior = locked_filter(p).distribution();
     TimePoint now{};
-    return time_ns(opt.min_time_s, [&] {
-      now += forecast_params.tick;
+    return time_ns([&] {
+      now += p.tick;
       DeliveryForecast f = forecaster.forecast(posterior, now);
       if (f.cumulative_at(8) < 0) std::abort();  // keep the result live
     });
@@ -260,53 +266,161 @@ int run(const Options& opt) {
   const double mixture_forecast_ns = forecast_ns(true);
   const double forecast_in_evolves = rate_forecast_ns / banded_ns;
 
-  const std::string json = [&] {
-    char buf[2048];
-    std::snprintf(
-        buf, sizeof(buf),
-        "{\n"
-        "  \"artifact\": \"perf_trajectory\",\n"
-        "  \"pr\": 17,\n"
-        "  \"config\": {\n"
-        "    \"bins\": %d,\n"
-        "    \"band_epsilon\": %.3g,\n"
-        "    \"kernel_backend\": \"%s\",\n"
-        "    \"mean_bandwidth\": %.2f,\n"
-        "    \"max_bandwidth\": %d,\n"
-        "    \"min_time_s\": %.3g\n"
-        "  },\n"
-        "  \"timings_ns\": {\n"
-        "    \"evolve_dense\": %.1f,\n"
-        "    \"evolve_banded\": %.1f,\n"
-        "    \"forecast_rate_8h\": %.1f,\n"
-        "    \"forecast_mixture_8h\": %.1f\n"
-        "  },\n"
-        "  \"speedups\": {\n"
-        "    \"banded_vs_dense\": %.3f\n"
-        "  },\n"
-        "  \"forecast_rate_in_banded_evolves\": %.3f,\n"
-        "  \"obs\": {\n"
-        "    \"on_overhead_banded\": %.4f,\n"
-        "    \"attempts\": %d\n"
-        "  },\n"
-        "  \"recorder\": {\n"
-        "    \"off_overhead_banded\": %.4f,\n"
-        "    \"attempts\": %d\n"
-        "  },\n"
-        "  \"floors\": {\n"
-        "    \"banded_vs_dense\": 2.0,\n"
-        "    \"obs_on_overhead_banded_max\": 0.01,\n"
-        "    \"recorder_off_overhead_banded_max\": 0.01,\n"
-        "    \"forecast_rate_in_banded_evolves_max\": 3.0\n"
-        "  }\n"
-        "}\n",
-        opt.bins, params.band_epsilon, kernels::active_backend(),
-        matrix.mean_bandwidth(), matrix.max_bandwidth(), opt.min_time_s,
-        dense_ns, banded_ns, rate_forecast_ns, mixture_forecast_ns,
-        banded_speedup, forecast_in_evolves, obs_overhead, obs_attempts,
-        rec_overhead, rec_attempts);
-    return std::string(buf);
-  }();
+  // --- cold builds: what a cache miss pays ---
+  const double matrix_build_ns = time_ns([&] {
+    const TransitionMatrix m(params);
+    if (m.entry(0, 0) < 0) std::abort();
+  });
+  // A count-noise build takes tens of milliseconds, so the table builds
+  // time batches of 4.
+  const auto table_build_ns = [&](bool count_noise) {
+    const SproutParams p = with_count_noise(count_noise);
+    const auto kernel = TransitionMatrixCache::get(p);
+    return time_ns(
+        [&] {
+          const ForecastTables tables(p, *kernel);
+          if (tables.rows() < 1) std::abort();
+        },
+        4);
+  };
+
+  // --- one observe, on the receiver's production input: the locked
+  // posterior after one evolve.  Restored (a 4 KB copy) before every call,
+  // since observing one count over and over would sharpen the posterior
+  // until its tail bins underflow and cost nothing. ---
+  SproutBayesFilter evolved = locked_filter(params);
+  evolved.evolve();
+  SproutBayesFilter observed = evolved;
+  const double observe_ns = time_ns([&] {
+    observed = evolved;
+    observed.observe(10);
+  });
+
+  // --- full receiver ticks: advance (the filter's evolve), observe and an
+  // 8-horizon forecast, for the paper's filter in both forecast modes and
+  // for the extension strategies, against the same budget ---
+  const auto tick_ns = [&](auto&& strategy) {
+    TimePoint now{};
+    return time_ns([&] {
+      strategy.advance_tick();
+      strategy.observe(10);
+      now += params.tick;
+      DeliveryForecast f = strategy.make_forecast(now);
+      if (f.cumulative_at(8) < 0) std::abort();
+    });
+  };
+  const double receiver_tick_rate_ns =
+      tick_ns(BayesianForecastStrategy(params));
+  // Share of one core at 50 ticks/s.
+  const double receiver_core_pct = receiver_tick_rate_ns * 50.0 * 100.0 / 1e9;
+  EmpiricalForecastStrategy empirical(params);
+  // Pre-fill the window so the timing measures steady state, not cold
+  // start.
+  for (int i = 0; i < 1500; ++i) {
+    empirical.advance_tick();
+    empirical.observe(10);
+  }
+
+  // --- GCC's per-packet receiver pipeline (grouper -> Kalman filter ->
+  // overuse detector -> AIMD), beside Sprout's per-tick one ---
+  InterArrivalGrouper grouper;
+  ArrivalFilter arrival_filter;
+  OveruseDetector detector;
+  AimdRateController aimd;
+  RateEstimator incoming;
+  std::int64_t packet = 0;
+  const auto gcc_packet = [&] {
+    const TimePoint sent = TimePoint{} + msec(33 * packet++);
+    const TimePoint arrived = sent + msec(20);
+    incoming.on_packet(arrived, kMtuBytes);
+    if (const auto delta = grouper.on_packet(sent, arrived, kMtuBytes)) {
+      const BandwidthUsage usage =
+          detector.detect(arrival_filter.update(*delta), arrived);
+      if (aimd.update(usage, incoming.rate_kbps(arrived), arrived) < 0) {
+        std::abort();
+      }
+    }
+  };
+
+  // --- one forecast-carrying wire message, serialized and parsed ---
+  SproutWireMessage msg;
+  msg.header.seqno = 1234567;
+  msg.header.payload_bytes = 1404;
+  ForecastBlock block;
+  block.received_or_lost_bytes = 999999;
+  block.tick_us = 20000;
+  for (int h = 1; h <= 8; ++h) {
+    block.cumulative_bytes.push_back(static_cast<std::uint32_t>(h * 15000));
+  }
+  msg.forecast = block;
+
+  const std::vector<std::pair<const char*, double>> timings = {
+      {"evolve_dense", dense_ns},
+      {"evolve_banded", banded_ns},
+      {"forecast_rate_8h", rate_forecast_ns},
+      {"forecast_mixture_8h", mixture_forecast_ns},
+      {"matrix_build", matrix_build_ns},
+      {"table_build_rate", table_build_ns(false)},
+      {"table_build_mixture", table_build_ns(true)},
+      {"filter_observe", observe_ns},
+      {"receiver_tick_rate", receiver_tick_rate_ns},
+      {"receiver_tick_mixture",
+       tick_ns(BayesianForecastStrategy(with_count_noise(true)))},
+      {"tick_adaptive", tick_ns(AdaptiveForecastStrategy(params))},
+      {"tick_mmpp", tick_ns(MmppForecastStrategy(params))},
+      {"tick_empirical", tick_ns(empirical)},
+      {"gcc_receiver_packet", time_ns(gcc_packet)},
+      {"wire_roundtrip", time_ns([&] {
+         if (!parse(serialize(msg)).has_value()) std::abort();
+       })},
+  };
+
+  std::string json;
+  appendf(json,
+          "{\n"
+          "  \"artifact\": \"perf_trajectory\",\n"
+          "  \"pr\": 18,\n"
+          "  \"config\": {\n"
+          "    \"bins\": %d,\n"
+          "    \"band_epsilon\": %.3g,\n"
+          "    \"kernel_backend\": \"%s\",\n"
+          "    \"mean_bandwidth\": %.2f,\n"
+          "    \"max_bandwidth\": %d,\n"
+          "    \"min_time_s\": %.3g\n"
+          "  },\n"
+          "  \"timings_ns\": {\n",
+          params.num_bins, params.band_epsilon, kernels::active_backend(),
+          matrix.mean_bandwidth(), matrix.max_bandwidth(), kMinTimeS);
+  for (std::size_t i = 0; i < timings.size(); ++i) {
+    appendf(json, "    \"%s\": %.1f%s\n", timings[i].first, timings[i].second,
+            i + 1 < timings.size() ? "," : "");
+  }
+  appendf(json,
+          "  },\n"
+          "  \"speedups\": {\n"
+          "    \"banded_vs_dense\": %.3f\n"
+          "  },\n"
+          "  \"forecast_rate_in_banded_evolves\": %.3f,\n"
+          "  \"receiver_core_pct\": %.4f,\n",
+          banded_speedup, forecast_in_evolves, receiver_core_pct);
+  appendf(json,
+          "  \"obs\": {\n"
+          "    \"on_overhead_banded\": %.4f,\n"
+          "    \"attempts\": %d\n"
+          "  },\n"
+          "  \"recorder\": {\n"
+          "    \"off_overhead_banded\": %.4f,\n"
+          "    \"attempts\": %d\n"
+          "  },\n",
+          obs_overhead, obs_attempts, rec_overhead, rec_attempts);
+  json +=
+      "  \"floors\": {\n"
+      "    \"banded_vs_dense\": 2.0,\n"
+      "    \"obs_on_overhead_banded_max\": 0.01,\n"
+      "    \"recorder_off_overhead_banded_max\": 0.01,\n"
+      "    \"forecast_rate_in_banded_evolves_max\": 3.0\n"
+      "  }\n"
+      "}\n";
 
   std::fputs(json.c_str(), stdout);
   if (!opt.json_path.empty()) {
@@ -325,7 +439,7 @@ int run(const Options& opt) {
       std::fprintf(stderr,
                    "FAIL: banded evolve only %.2fx dense at %d bins "
                    "(floor 2.0x)\n",
-                   banded_speedup, opt.bins);
+                   banded_speedup, params.num_bins);
       ok = false;
     }
     if (obs_overhead >= 0.01) {

@@ -16,7 +16,7 @@
 //   --json PATH       also dump the combined table as JSON (CI artifact)
 //   --dump-spec PATH  write the grid as a declarative experiment spec
 //                     (spec/grid.h) and exit without simulating; the file
-//                     feeds `sweep run --spec` and `spec_lint`
+//                     feeds `sweep run --spec` and `sweep list --spec`
 #include <cstring>
 #include <fstream>
 #include <iostream>

@@ -1,11 +1,11 @@
 # Shared plumbing for the cmake/*_roundtrip.cmake acceptance scripts.  Each
 # runs as a ctest (label `roundtrip`) through add_roundtrip_test in the root
 # CMakeLists.txt, which passes:
-#   -DSWEEP=<sweep>  -DSWEEP_REPORT=<sweep_report>  -DSPEC_LINT=<spec_lint>
-#   -DTRACE_SYNTH=<trace_synth>  -DSPECS=<repo specs/>  -DWORK_DIR=<scratch>
+#   -DSWEEP=<sweep>  -DSWEEP_REPORT=<sweep_report>  -DTRACE_SYNTH=<trace_synth>
+#   -DSPECS=<repo specs/>  -DWORK_DIR=<work dir>
 # Every step runs in WORK_DIR, which is emptied first and left behind for
 # inspection (CI uploads it).
-foreach(var SWEEP SWEEP_REPORT SPEC_LINT TRACE_SYNTH SPECS WORK_DIR)
+foreach(var SWEEP SWEEP_REPORT TRACE_SYNTH SPECS WORK_DIR)
   if(NOT ${var})
     message(FATAL_ERROR "roundtrip script needs -D${var}=...")
   endif()
@@ -55,14 +55,16 @@ function(require_same a b what)
   endif()
 endfunction()
 
-# sweep_roundtrip(N --spec FILE [FLAGS...]): lints the spec (wall-clock
-# estimate included), runs it as one process (full.json) and as N shard
-# processes (shard<i>.journal.jsonl, the grid's LPT cut), checks with
-# `sweep status` that the journals cover the grid, merges them — verified
-# against the grid — into merged.json, and requires it byte-identical to
-# full.json.
+# sweep_roundtrip(N --spec FILE [FLAGS...]): checks the spec with
+# `sweep list` (per-cell table, LPT cut and wall-clock estimate included;
+# its stdout is left in LISTED), runs it as one process (full.json) and as
+# N shard processes (shard<i>.journal.jsonl, the grid's LPT cut), checks
+# with `sweep status` that the journals cover the grid, merges them —
+# verified against the grid — into merged.json, and requires it
+# byte-identical to full.json.
 function(sweep_roundtrip shards)
-  run_tool(${SPEC_LINT} ${ARGV2} --expand --shards ${shards} --wall-clock)
+  run_expect(0 ${SWEEP} list ${ARGN} --expand --shards ${shards} --wall-clock)
+  set(LISTED "${STDOUT}" PARENT_SCOPE)
   run_tool(${SWEEP} run ${ARGN} --out full.json)
   set(parts)
   foreach(i RANGE 1 ${shards})
@@ -84,6 +86,7 @@ function(require_usage_errors)
   set(smoke --spec ${SPECS}/coexistence_smoke.json --out bad.json)
   run_rejects(2 "--workers: " ${SWEEP} run --workers 0)
   run_rejects(2 "--workers: " ${SWEEP} run --workers 4x)
+  run_rejects(2 "--expand: " ${SWEEP} run ${smoke} --expand)
   run_rejects(2 "--shard: .*--journal-dir"
     ${SWEEP} run --shard 1/2 --journal-dir d)
   run_rejects(2 "--shard: shard 5 of 3" ${SWEEP} run ${smoke} --shard 5/3)

@@ -11,7 +11,8 @@
 // and the cmake/*_roundtrip.cmake ctests (label `roundtrip`) diff exactly
 // that.
 //
-//   sweep list   --spec specs/coexistence_smoke.json
+//   sweep list   --spec specs/coexistence_smoke.json --expand --shards 3
+//                --wall-clock
 //   sweep run    --spec specs/coexistence_smoke.json --out full.json
 //   sweep run    --spec specs/coexistence_smoke.json --shard 1/3
 //                --out s1.journal.jsonl
@@ -21,6 +22,17 @@
 //                s*.journal.jsonl
 //   sweep run    --spec specs/tower_smoke.json --journal-dir j/ --out s.json
 //   sweep status --spec specs/tower_smoke.json --journal-dir j/
+//
+// `list` checks a spec without running it.  The spec reader is strict and
+// path-aware, so a clean exit means every cell of the expanded grid passed
+// the validation the runner applies, and the printed fingerprint is the
+// content address `run` and `merge` stamp on results.  --expand adds a
+// per-cell table, --shards N the LPT cut `run --shard I/N` runs, and
+// --wall-clock a wall-clock estimate: per-cell estimated_cost
+// (Cubic-equivalent seconds) packed onto --workers threads by the same LPT
+// rule, divided by a rate measured here by timing one short Cubic cell, so
+// one dominant cell shows up as the floor it really is instead of being
+// averaged away.
 //
 // `run` without --journal-dir runs in this process (run_sweep/run_shard),
 // optionally one static slice of the grid: --shard I/N (the grid's LPT
@@ -51,9 +63,12 @@
 // Exit codes: 0 complete, 1 error, 2 usage, 3 poisoned cells (journals
 // keep the finished ones), 4 halted by --halt-after.
 #include <algorithm>
+#include <chrono>
 #include <iostream>
+#include <sstream>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -96,7 +111,8 @@ ResolvedGrid resolve_grid(const GridSource& source) {
 int usage() {
   std::cerr <<
       "usage:\n"
-      "  sweep list   --spec FILE\n"
+      "  sweep list   --spec FILE [--expand] [--shards N] [--wall-clock]"
+      " [--workers T]\n"
       "  sweep run    GRID --out PATH [--workers N] [--timeline]\n"
       "               [--shard I/N | --cells A,B,C]\n"
       "  sweep run    GRID --out PATH --journal-dir DIR [--workers N]"
@@ -177,19 +193,161 @@ std::pair<std::size_t, int> parse_fault(const std::string& flag,
   return {static_cast<std::size_t>(index), n};
 }
 
-int cmd_list(const GridSource& source) {
-  const ResolvedGrid grid = resolve_grid(source);
-  double cost = 0.0;
-  for (const ScenarioSpec& cell : grid.sweep.cells) {
-    cost += estimated_cost(cell);
+// The views `sweep list` can add to its summary.
+struct ListViews {
+  bool expand = false;      // --expand: one row per cell
+  int shards = 0;           // --shards N: the LPT cut of N shards
+  bool wall_clock = false;  // --wall-clock: a measured wall-clock estimate
+};
+
+// One line describing a cell's flows: "Sprout" for a single flow,
+// "Sprout + Cubic" for a heterogeneous queue, "4 x Vegas" for a
+// homogeneous fleet, "Cubic + Skype (tunnel)" for tunnel contention and
+// "tower, 64 users: Cubic 3, Sprout 1" for a tower and its mix weights.
+std::string flows_summary(const ScenarioSpec& cell) {
+  switch (cell.topology.kind) {
+    case TopologySpec::Kind::kSingleFlow:
+      return to_string(cell.scheme);
+    case TopologySpec::Kind::kSharedQueue: {
+      if (cell.topology.flows.empty()) {
+        return std::to_string(cell.topology.num_flows) + " x " +
+               to_string(cell.scheme);
+      }
+      std::string out;
+      for (const FlowSpec& f : cell.topology.flows) {
+        if (!out.empty()) out += " + ";
+        out += to_string(f.scheme);
+      }
+      return out;
+    }
+    case TopologySpec::Kind::kTunnelContention:
+      return cell.topology.via_tunnel ? "Cubic + Skype (tunnel)"
+                                      : "Cubic + Skype (direct)";
+    case TopologySpec::Kind::kTower:
+      break;
   }
-  TableWriter t({"Grid", "Cells", "Est. cost (Cubic-s)", "Fingerprint"});
-  t.row()
-      .cell(grid.label)
-      .cell(static_cast<std::int64_t>(grid.sweep.cells.size()))
-      .cell(cost, 0)
-      .cell(std::to_string(sweep_fingerprint(grid.sweep)));
-  t.print(std::cout);
+  const TowerSpec& tower = cell.topology.tower_spec;
+  std::ostringstream os;
+  os << "tower, " << tower.num_users << " users:";
+  for (std::size_t i = 0; i < tower.mix.size(); ++i) {
+    os << (i == 0 ? " " : ", ") << to_string(tower.mix[i].scheme) << " "
+       << tower.mix[i].weight;
+  }
+  return os.str();
+}
+
+// A tower runs its own channel and ignores the cell's link.
+std::string link_summary(const ScenarioSpec& cell) {
+  return cell.topology.kind == TopologySpec::Kind::kTower
+             ? cell.topology.tower_spec.channel.label()
+             : cell.link.name();
+}
+
+// Measures how many Cubic-equivalent simulated seconds one thread of THIS
+// machine retires per wall-clock second: one short Cubic cell, timed on
+// its second run so trace generation and table warmup stay out of the
+// number.  estimated_cost is in exactly these units (simulated seconds ×
+// scheme_cost_weight, Cubic ≡ 1), so cost / rate is a wall-clock estimate.
+double measure_cubic_seconds_per_wall_second() {
+  ScenarioSpec probe;
+  probe.scheme = SchemeId::kCubic;
+  probe.link = LinkSpec::preset("Verizon LTE", LinkDirection::kDownlink);
+  probe.run_time = sec(4);
+  probe.warmup = sec(1);
+  ScenarioCache cache;
+  (void)run_scenario(probe, &cache);  // warm the trace cache
+  const auto start = std::chrono::steady_clock::now();
+  (void)run_scenario(probe, &cache);
+  const double wall =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+          .count();
+  return to_seconds(probe.run_time) / std::max(wall, 1e-9);
+}
+
+int cmd_list(const std::string& spec_path, const ListViews& views,
+             int workers) {
+  const spec::ExperimentSpec experiment =
+      spec::parse_experiment_file(spec_path);
+  const std::vector<ScenarioSpec>& cells = experiment.sweep.cells;
+  // Summed estimated_cost of a set of cells.
+  const auto cost_of = [&](const std::vector<std::size_t>& indices) {
+    double cost = 0.0;
+    for (const std::size_t i : indices) cost += estimated_cost(cells[i]);
+    return cost;
+  };
+  double total_cost = 0.0;
+  for (const ScenarioSpec& cell : cells) total_cost += estimated_cost(cell);
+  std::cout << "spec:        " << spec_path << "\n"
+            << "name:        "
+            << (experiment.name.empty() ? "(unnamed)" : experiment.name)
+            << "\n"
+            << "cells:       " << cells.size() << "\n"
+            << "est. cost:   " << format_double(total_cost, 0)
+            << " Cubic-equivalent seconds\n"
+            << "base seed:   "
+            << (experiment.sweep.base_seed.has_value()
+                    ? std::to_string(*experiment.sweep.base_seed)
+                    : std::string("(per-cell seeds)"))
+            << "\n"
+            << "fingerprint: " << sweep_fingerprint(experiment.sweep) << "\n";
+
+  if (views.wall_clock) {
+    const double rate = measure_cubic_seconds_per_wall_second();
+    const int cores = static_cast<int>(std::thread::hardware_concurrency());
+    const int threads = workers > 0 ? workers : std::max(1, cores);
+    // Pack cells onto threads the way a real run does — greedy LPT over
+    // estimated_cost — and report the resulting makespan.  Cells cannot be
+    // split, so total/threads is a fantasy whenever one expensive cell
+    // (a Sprout-Adaptive grid point, say) towers over the rest; the LPT
+    // makespan keeps that cell visible as the floor it is.
+    double makespan = 0.0;
+    for (const std::vector<std::size_t>& bucket :
+         lpt_partition(cells, threads)) {
+      makespan = std::max(makespan, cost_of(bucket));
+    }
+    std::cout << "wall-clock:  ~" << format_double(total_cost / rate, 1)
+              << " s single-thread, ~" << format_double(makespan / rate, 1)
+              << " s on " << threads
+              << " threads (LPT makespan; measured " << format_double(rate, 0)
+              << " Cubic-s/s per thread)\n";
+  }
+
+  if (views.expand) {
+    std::cout << "\n";
+    TableWriter t({"Cell", "Flows", "Link", "Run (s)", "Est. cost",
+                   "Fingerprint"});
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+      t.row()
+          .cell(static_cast<std::int64_t>(i))
+          .cell(flows_summary(cells[i]))
+          .cell(link_summary(cells[i]))
+          .cell(to_seconds(cells[i].run_time), 0)
+          .cell(estimated_cost(cells[i]), 0)
+          .cell(std::to_string(scenario_fingerprint(cells[i])));
+    }
+    t.print(std::cout);
+  }
+
+  if (views.shards > 0) {
+    std::cout << "\n";
+    TableWriter t({"Shard", "Cells", "Est. cost"});
+    const std::vector<std::vector<std::size_t>> cut =
+        lpt_partition(cells, views.shards);
+    for (int s = 0; s < views.shards; ++s) {
+      const std::vector<std::size_t>& indices =
+          cut[static_cast<std::size_t>(s)];
+      std::string listed;
+      for (const std::size_t i : indices) {
+        if (!listed.empty()) listed += ",";
+        listed += std::to_string(i);
+      }
+      t.row()
+          .cell(std::to_string(s + 1) + "/" + std::to_string(views.shards))
+          .cell(listed.empty() ? "(none)" : listed)
+          .cell(cost_of(indices), 0);
+    }
+    t.print(std::cout);
+  }
   return 0;
 }
 
@@ -346,6 +504,10 @@ constexpr std::string_view kOrchestratorFlags[] = {
     "--quiet",        "--metrics-out",   "--trace-out",    "--halt-after",
     "--crash-cell",   "--hang-cell"};
 
+// Flags that only `sweep list` reads.
+constexpr std::string_view kListFlags[] = {"--expand", "--shards",
+                                           "--wall-clock"};
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -353,12 +515,14 @@ int main(int argc, char** argv) {
   const std::string command = argv[1];
 
   GridSource source;
+  ListViews views;
   OrchestratorOptions options;
   std::string shard_arg;
   std::string cells_arg;
   std::string out_path;
   std::string poison_path;
   std::string orchestrator_flag;  // first flag that needs --journal-dir
+  std::string list_flag;          // first flag only `list` reads
   std::vector<std::string> positional;
 
   try {
@@ -368,18 +532,25 @@ int main(int argc, char** argv) {
         if (i + 1 >= argc) throw UsageError(arg + ": needs a value");
         return argv[++i];
       };
-      if (orchestrator_flag.empty() &&
-          std::find(std::begin(kOrchestratorFlags),
-                    std::end(kOrchestratorFlags),
-                    arg) != std::end(kOrchestratorFlags)) {
-        orchestrator_flag = arg;
-      }
+      const auto note = [&](const auto& flags, std::string& first) {
+        if (first.empty() && std::find(std::begin(flags), std::end(flags),
+                                       arg) != std::end(flags)) {
+          first = arg;
+        }
+      };
+      note(kOrchestratorFlags, orchestrator_flag);
+      note(kListFlags, list_flag);
       if (arg == "--spec") source.spec_path = value();
       else if (arg == "--timeline") source.timeline = true;
       else if (arg == "--workers") {
         options.workers = cli::parse_int_at_least(arg, value(), 1);
       }
       else if (arg == "--shard") shard_arg = value();
+      else if (arg == "--expand") views.expand = true;
+      else if (arg == "--shards") {
+        views.shards = cli::parse_int_at_least(arg, value(), 1);
+      }
+      else if (arg == "--wall-clock") views.wall_clock = true;
       else if (arg == "--cells") cells_arg = value();
       else if (arg == "--out") out_path = value();
       else if (arg == "--journal-dir") options.journal_dir = value();
@@ -415,6 +586,9 @@ int main(int argc, char** argv) {
       else if (arg.rfind("--", 0) == 0) return usage();
       else positional.push_back(arg);
     }
+    if (command != "list" && !list_flag.empty()) {
+      throw UsageError(list_flag + ": only `sweep list` reads it");
+    }
     const bool have_grid = !source.spec_path.empty();
     const bool journaled = !options.journal_dir.empty();
     if (journaled && (!shard_arg.empty() || !cells_arg.empty())) {
@@ -428,7 +602,7 @@ int main(int argc, char** argv) {
 
     if (command == "list") {
       if (!have_grid || !positional.empty()) return usage();
-      return cmd_list(source);
+      return cmd_list(source.spec_path, views, options.workers);
     }
     if (command == "run") {
       if (!have_grid || out_path.empty() || !positional.empty() ||

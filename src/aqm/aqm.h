@@ -3,7 +3,9 @@
 // The paper's Cellsim ships with an unbounded DropTail queue, optional
 // Bernoulli tail drop, and an optional CoDel implementation used for the
 // Cubic-over-CoDel comparison (§5.4).  The policy owns both admission
-// (enqueue-side) and dequeue-side drop decisions.
+// (enqueue-side) and dequeue-side drop decisions; the base class's
+// defaults (admit everything, dequeue the head) are that unbounded
+// DropTail queue, the link's policy when it is given none.
 #pragma once
 
 #include <optional>
@@ -33,22 +35,6 @@ class AqmPolicy {
     (void)now;
     return queue.pop();
   }
-};
-
-// Classic tail-drop with an optional byte cap (cap <= 0 means unbounded,
-// the Cellsim default).
-class DropTailPolicy : public AqmPolicy {
- public:
-  explicit DropTailPolicy(ByteCount byte_cap = 0) : byte_cap_(byte_cap) {}
-
-  bool admit(const LinkQueue& queue, const Packet& arriving,
-             TimePoint now) override {
-    (void)now;
-    return byte_cap_ <= 0 || queue.bytes() + arriving.size <= byte_cap_;
-  }
-
- private:
-  ByteCount byte_cap_;
 };
 
 }  // namespace sprout

@@ -62,11 +62,11 @@ std::unique_ptr<MeasuredSink> make_measured(const FlowContext& ctx,
                               : std::make_unique<MeasuredSink>(ctx.sim);
   if (ctx.streaming_metrics != nullptr) {
     const StreamingMetricsConfig& cfg = *ctx.streaming_metrics;
-    sink->metrics().enable_streaming(cfg.hist_bin, cfg.hist_max, cfg.from,
+    sink->metrics().enable_streaming(kDelayHistBin, kDelayHistMax, cfg.from,
                                      cfg.to);
   } else if (ctx.delay_histogram != nullptr) {
     const StreamingMetricsConfig& cfg = *ctx.delay_histogram;
-    sink->metrics().enable_histogram(cfg.hist_bin, cfg.hist_max, cfg.from,
+    sink->metrics().enable_histogram(kDelayHistBin, kDelayHistMax, cfg.from,
                                      cfg.to);
   }
   sink->metrics().set_timeline_recorder(ctx.timeline);

@@ -27,14 +27,19 @@
 
 namespace sprout {
 
+// The one delay-histogram geometry.  Every streaming delay histogram a
+// scenario keeps (each flow's, each tower user's, and the tower's
+// population merge) has 5 ms bins up to 20 s, so a percentile read from
+// bin edges is never under-reported and at most one bin high.
+inline constexpr Duration kDelayHistBin = msec(5);
+inline constexpr Duration kDelayHistMax = sec(20);
+
 // When set on a FlowContext, the flow's MeasuredSink runs FlowMetrics in
 // streaming mode: per-packet delays fold into a fixed-bin histogram over
 // [from, to) instead of a retained delivery log.  Tower scenarios set this
 // so a thousand flows cost a thousand histograms, not a thousand packet
 // logs.
 struct StreamingMetricsConfig {
-  Duration hist_bin{};
-  Duration hist_max{};
   TimePoint from{};
   TimePoint to{};
 };

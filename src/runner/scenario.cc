@@ -214,10 +214,6 @@ void validate_topology(const TopologySpec& topology) {
       if (t.pf_window < t.slot) {
         throw std::invalid_argument("tower pf_window must be >= slot");
       }
-      if (t.hist_bin <= Duration::zero() || t.hist_max < t.hist_bin) {
-        throw std::invalid_argument(
-            "tower histogram needs bin > 0 and max >= bin");
-      }
       if (t.channel.base != SynthSpec::Base::kBrownian &&
           t.channel.base != SynthSpec::Base::kMarkov) {
         throw std::invalid_argument(
@@ -481,19 +477,6 @@ void validate_flow_spec(const ScenarioSpec& spec, const FlowSpec& flow,
   }
 }
 
-// Non-tower topologies maintain their streaming delay histogram alongside
-// the retained record list (ROADMAP 5(b)) with the tower's default
-// geometry, so delay_hist.stats() reports the same fixed-bin
-// p50/p95/p99/p999 on every topology.
-StreamingMetricsConfig delay_hist_config(TimePoint from, TimePoint to) {
-  StreamingMetricsConfig cfg;
-  cfg.hist_bin = msec(5);
-  cfg.hist_max = sec(20);
-  cfg.from = from;
-  cfg.to = to;
-  return cfg;
-}
-
 }  // namespace
 
 namespace detail {
@@ -647,9 +630,13 @@ ScenarioResult run_flows(const ScenarioSpec& spec, const ResolvedLink& link) {
   }
   const bool coactive = co_from < co_to;
 
+  // Each flow keeps a streaming delay histogram over its window alongside
+  // the retained record list, in the geometry the tower's users use too
+  // (kDelayHistBin, kDelayHistMax), so delay_hist.stats() reports the same
+  // fixed-bin p50/p95/p99/p999 on every topology.
   std::vector<StreamingMetricsConfig> delay_cfgs(flow_specs.size());
   for (std::size_t f = 0; f < flow_specs.size(); ++f) {
-    delay_cfgs[f] = delay_hist_config(flow_from[f], flow_to[f]);
+    delay_cfgs[f] = {flow_from[f], flow_to[f]};
   }
 
   // Flight recorders (if asked): one per flow for forecast + delivery

@@ -151,9 +151,6 @@ struct TowerSpec {
   // Scheme mix sampled per arriving user; must be non-empty with positive
   // weights.
   std::vector<UserMixEntry> mix = {UserMixEntry{}};
-  // Streaming delay-histogram geometry (per-user and population CDFs).
-  Duration hist_bin = msec(5);
-  Duration hist_max = sec(20);
 };
 
 // How many flows, and how they share the emulated queues.
@@ -179,9 +176,9 @@ struct TopologySpec {
   // server/mobile SproutTunnel endpoint pair (§4.3) instead of entering
   // the links directly, and flows size packets to the tunnel's client MTU.
   bool via_tunnel = false;
-  // kTower.  The tower owns its own link model (the PF cell), scheme
-  // choice (the mix) and metrics geometry, so a tower scenario ignores
-  // ScenarioSpec::scheme / link.
+  // kTower.  The tower owns its own link model (the PF cell) and scheme
+  // choice (the mix), so a tower scenario ignores ScenarioSpec::scheme /
+  // link.
   TowerSpec tower_spec;
 
   [[nodiscard]] static TopologySpec single_flow();

@@ -100,7 +100,7 @@ struct SweepResult {
 // 4/3 of the optimal makespan.  On equal-cost cells this deals the k-th
 // listed index, in ascending order, to shard k mod N.  Every listed cell
 // appears in exactly one bucket; each bucket is sorted ascending.  The
-// same greedy loop prices `spec_lint --wall-clock` and the orchestrator's
+// same greedy loop prices `sweep list --wall-clock` and the orchestrator's
 // ETA (the largest bucket's summed estimated_cost).  Throws
 // std::invalid_argument for a non-positive shard_count.
 [[nodiscard]] std::vector<std::vector<std::size_t>> lpt_partition(

@@ -4,6 +4,8 @@
 #include <cstring>
 #include <utility>
 
+#include "runner/registry.h"
+
 namespace sprout {
 
 namespace {
@@ -102,8 +104,10 @@ std::uint64_t scenario_fingerprint(const ScenarioSpec& spec) {
       h.u64(static_cast<std::uint64_t>(e.scheme));
       h.f64(e.weight);
     }
-    h.i64(t.hist_bin.count());
-    h.i64(t.hist_max.count());
+    // Fixed, but hashed: the pair is part of every tower fingerprint, so
+    // content-derived seeds and the golden tower grid depend on it.
+    h.i64(kDelayHistBin.count());
+    h.i64(kDelayHistMax.count());
     if (spec.link_aqm != LinkAqm::kAuto) {
       h.u64(static_cast<std::uint64_t>(spec.link_aqm));
     }

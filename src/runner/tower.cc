@@ -242,8 +242,6 @@ ScenarioResult run_tower(const ScenarioSpec& spec) {
     Trace trace(std::move(user_opps[i]), horizon);
 
     StreamingMetricsConfig streaming;
-    streaming.hist_bin = tower.hist_bin;
-    streaming.hist_max = tower.hist_max;
     streaming.from = std::max(meas_from, TimePoint{} + s.arrival);
     streaming.to = std::min(meas_to, TimePoint{} + s.departure);
 
@@ -307,7 +305,7 @@ ScenarioResult run_tower(const ScenarioSpec& spec) {
   // shared-queue topology's co-active convention).  There is also no
   // single forward trace for the omniscient baseline; that field stays 0.
   ScenarioResult r;
-  r.population_delay_hist = DelayHistogram(tower.hist_bin, tower.hist_max);
+  r.population_delay_hist = DelayHistogram(kDelayHistBin, kDelayHistMax);
   std::vector<double> throughputs;
   ByteCount capacity_bytes = 0;
   r.flows.reserve(sessions.size());

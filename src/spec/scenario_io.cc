@@ -177,8 +177,7 @@ TopologySpec read_topology(const Field& doc) {
     TowerSpec t;
     if (const auto tf = doc.get("tower")) {
       tf->allow_keys({"num_users", "arrival_rate_per_s", "mean_session_s",
-                      "slot_s", "pf_window_s", "channel", "mix", "hist_bin_s",
-                      "hist_max_s"});
+                      "slot_s", "pf_window_s", "channel", "mix"});
       if (const auto f = tf->get("num_users")) {
         t.num_users = static_cast<int>(f->int_at_least(1));
       }
@@ -205,16 +204,10 @@ TopologySpec read_topology(const Field& doc) {
         if (entries.empty()) mix->fail("needs at least one mix entry");
         t.mix = std::move(entries);
       }
-      if (const auto f = tf->get("hist_bin_s")) {
-        t.hist_bin = f->positive_seconds();
-      }
-      if (const auto f = tf->get("hist_max_s")) {
-        t.hist_max = f->positive_seconds();
-      }
     }
     // The builder runs the full cross-field validation (channel base, PF
-    // window vs slot, histogram geometry); rewrap its error with the spec
-    // path so `spec_lint` points at the file, not a C++ call site.
+    // window vs slot); rewrap its error with the spec path so `sweep list`
+    // points at the file, not a C++ call site.
     try {
       return TopologySpec::tower(std::move(t));
     } catch (const std::invalid_argument& e) {
@@ -309,7 +302,7 @@ ScenarioSpec scenario_from_field(const Field& doc) {
   }
 
   // Cross-field checks run_scenario would reject anyway, surfaced here
-  // with spec paths so `spec_lint` catches them before any shard runs.
+  // with spec paths so `sweep list` catches them before any shard runs.
   if (const auto topo = doc.get("topology")) {
     if (const auto flows = topo->get("flows")) {
       const std::vector<Field> items = flows->items();
@@ -479,8 +472,6 @@ void write_topology(std::ostream& os, const TopologySpec& topo, int indent) {
         }
         ms << "]";
       }
-      if (t.hist_bin != d.hist_bin) tw.seconds("hist_bin_s", t.hist_bin);
-      if (t.hist_max != d.hist_max) tw.seconds("hist_max_s", t.hist_max);
       tw.close();
       break;
     }

@@ -28,7 +28,7 @@
 namespace sprout::spec {
 
 // Every spec-document failure — parse, type, range, structure — throws
-// this, so CLI frontends (spec_lint, sweep --spec) can catch one type
+// this, so CLI frontends (sweep list, sweep --spec) can catch one type
 // and print one diagnostic.
 class SpecError : public std::runtime_error {
  public:

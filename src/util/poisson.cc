@@ -41,8 +41,6 @@ double poisson_log_pmf(int k, double mean) {
   return static_cast<double>(k) * std::log(mean) - mean - log_factorial(k);
 }
 
-double poisson_pmf(int k, double mean) { return std::exp(poisson_log_pmf(k, mean)); }
-
 double poisson_cdf(int k, double mean) {
   assert(mean >= 0.0);
   if (k < 0) return 0.0;
@@ -77,24 +75,6 @@ double poisson_log_survival(int k, double mean) {
     if (term < 1e-16 * tail) break;
   }
   return log_first + std::log(tail);
-}
-
-int poisson_quantile(double p, double mean) {
-  assert(p >= 0.0 && p < 1.0);
-  assert(mean >= 0.0);
-  if (mean == 0.0) return 0;
-  double term = std::exp(-mean);
-  double sum = term;
-  int k = 0;
-  // Hard upper bound keeps malformed inputs from looping forever; for the
-  // rates Sprout handles the loop exits after O(mean) iterations.
-  const int limit = static_cast<int>(mean + 20.0 * std::sqrt(mean) + 200.0);
-  while (sum < p && k < limit) {
-    ++k;
-    term *= mean / static_cast<double>(k);
-    sum += term;
-  }
-  return k;
 }
 
 }  // namespace sprout

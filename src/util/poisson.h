@@ -19,15 +19,9 @@ double log_factorial(int k);
 // returns 0 (probability 1) for k == 0 and -inf for k > 0.
 double poisson_log_pmf(int k, double mean);
 
-// P[X = k].
-double poisson_pmf(int k, double mean);
-
 // P[X <= k], by forward summation of pmf terms (stable for mean <~ 700,
 // far above anything Sprout's 11 Mbps / 160 ms horizon produces).
 double poisson_cdf(int k, double mean);
-
-// Smallest k such that P[X <= k] >= p.  p in [0, 1).
-int poisson_quantile(double p, double mean);
 
 // log P[X >= k]: the censored-observation likelihood ("at least k arrived").
 // Computed stably for both tails.

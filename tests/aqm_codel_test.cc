@@ -44,29 +44,6 @@ TEST(LinkQueue, PushFrontRestoresOrder) {
   EXPECT_EQ(q.bytes(), 2 * kMtuBytes);
 }
 
-TEST(DropTail, UnboundedByDefault) {
-  DropTailPolicy policy;
-  LinkQueue q;
-  for (int i = 0; i < 10000; ++i) {
-    Packet p = mtu_packet(TimePoint{});
-    ASSERT_TRUE(policy.admit(q, p, TimePoint{}));
-    q.push(std::move(p));
-  }
-  EXPECT_EQ(q.packets(), 10000u);
-}
-
-TEST(DropTail, EnforcesByteCap) {
-  DropTailPolicy policy(3 * kMtuBytes);
-  LinkQueue q;
-  for (int i = 0; i < 3; ++i) {
-    Packet p = mtu_packet(TimePoint{});
-    ASSERT_TRUE(policy.admit(q, p, TimePoint{}));
-    q.push(std::move(p));
-  }
-  Packet overflow = mtu_packet(TimePoint{});
-  EXPECT_FALSE(policy.admit(q, overflow, TimePoint{}));
-}
-
 TEST(Codel, NoDropsBelowTarget) {
   CodelPolicy codel;
   LinkQueue q;

@@ -28,7 +28,9 @@ std::string policy_name(const ::testing::TestParamInfo<Policy>& info) {
 
 std::unique_ptr<AqmPolicy> make_policy(Policy p) {
   switch (p) {
-    case Policy::kDropTail: return std::make_unique<DropTailPolicy>();
+    // The base policy's defaults (admit everything, FIFO dequeue) are
+    // Cellsim's unbounded DropTail.
+    case Policy::kDropTail: return std::make_unique<AqmPolicy>();
     case Policy::kCodel: return std::make_unique<CodelPolicy>();
     case Policy::kPie: return std::make_unique<PiePolicy>(PieParams{}, 1);
   }

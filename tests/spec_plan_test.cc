@@ -1,5 +1,5 @@
 // Shard plans for spec files: the LPT cut (runner/shard.h's lpt_partition)
-// that `sweep run --shard I/N` and `spec_lint --shards N` apply to a
+// that `sweep run --shard I/N` and `sweep list --shards N` apply to a
 // checked-in grid whose cell costs are deliberately skewed.
 #include <gtest/gtest.h>
 

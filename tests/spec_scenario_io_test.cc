@@ -349,8 +349,6 @@ TEST(SpecScenarioIo, TowerTopologyRoundTrips) {
   markov.states = {{120.0, 2.0}, {600.0, 5.0}};
   t.channel = SynthSpec::markov_model(markov, 17);
   t.mix = {{SchemeId::kSprout, 1.0}, {SchemeId::kCubic, 3.0}};
-  t.hist_bin = msec(2);
-  t.hist_max = sec(30);
   ScenarioSpec spec;
   spec.topology = TopologySpec::tower(std::move(t));
   spec.run_time = sec(120);
@@ -418,6 +416,14 @@ TEST(SpecScenarioIo, TowerReaderValidatesWithPaths) {
             R"({"topology": {"kind": "tower", "tower": {"users": 5}}})");
       },
       "topology.tower.users: unknown field");
+  // Every tower shares one delay-histogram geometry; there is no key for it.
+  expect_spec_error(
+      [] {
+        (void)parse_scenario_json(
+            R"({"topology": {"kind": "tower",
+                             "tower": {"hist_bin_s": 0.002}}})");
+      },
+      "topology.tower.hist_bin_s: unknown field");
 }
 
 }  // namespace
