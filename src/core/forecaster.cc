@@ -253,28 +253,62 @@ DeliveryForecast folded_forecast(const SproutParams& params,
   const double target = params.forecast_percentile() / 100.0;
   const int rows = terms.front().tables->rows();
   int floor_packets = 0;
+  int prev = -1;  // the previous horizon's row; none before horizon 1
   for (int h = 1; h <= params.forecast_horizon_ticks; ++h) {
     const double threshold =
         normalize ? target * weighted_sum([h](const ForecastTables& t) {
           return t.mass(h);
         })
                   : target;
-    // Smallest row whose CDF reaches the threshold, or the last row if none
-    // does.  Invariant: cdf(lo) < threshold (row -1 is the empty CDF), and
-    // the answer lies in (lo, hi].  CDFs are monotone in the row: every
-    // table entry is, and so is each fixed-order weighted sum of them.
+    // Whether row k's CDF reaches the threshold.  The last row counts as
+    // reaching it, so it is the answer when no earlier row does.
+    const auto reaches = [&](int k) {
+      return k == rows - 1 ||
+             weighted_sum([h, k](const ForecastTables& t) {
+               return t.row(h, k);
+             }) >= threshold;
+    };
+    // The smallest row that reaches the threshold.  Invariant: row lo
+    // falls short (row -1 is the empty CDF) and row hi reaches, so the
+    // answer lies in (lo, hi].  CDFs are monotone in the row: every table
+    // entry is, and so is each fixed-order weighted sum of them, so any
+    // bracket finds the same row.  After horizon 1 the bracket comes from
+    // galloping away from the previous horizon's row with doubling steps,
+    // since the row moves little per horizon; a bisection finishes.
     int lo = -1;
     int hi = rows - 1;
+    if (prev >= 0) {
+      if (reaches(prev)) {
+        hi = prev;
+        for (int step = 1; hi > 0; step *= 2) {
+          const int k = std::max(hi - step, 0);
+          if (!reaches(k)) {
+            lo = k;
+            break;
+          }
+          hi = k;
+        }
+      } else {
+        lo = prev;
+        for (int step = 1;; step *= 2) {
+          const int k = std::min(lo + step, rows - 1);
+          if (reaches(k)) {
+            hi = k;
+            break;
+          }
+          lo = k;
+        }
+      }
+    }
     while (hi - lo > 1) {
       const int mid = lo + (hi - lo) / 2;
-      const double cdf = weighted_sum(
-          [h, mid](const ForecastTables& t) { return t.row(h, mid); });
-      if (cdf >= threshold) {
+      if (reaches(mid)) {
         hi = mid;
       } else {
         lo = mid;
       }
     }
+    prev = hi;
     const int packets =
         params.count_noise_in_forecast
             ? hi

@@ -17,8 +17,9 @@
 //  * count-noise mode (SproutParams::count_noise_in_forecast):
 //    T_h[n][i] = Σ_j (B^h)[i][j] · P[Poisson(λ_j·h·τ) ≤ n], the λ-mixture
 //    CDF of cumulative deliveries at count n.
-// The runtime work per horizon is therefore a bisection over rows, each
-// probe one weighted sum over the λ bins of p0's support — the paper's
+// The runtime work per horizon is therefore a search over rows (a
+// bisection at horizon 1, then a gallop from the previous horizon's row),
+// each probe one weighted sum over the λ bins of p0's support — the paper's
 // "only work at runtime is to take a weighted sum over each λ" — with no
 // copy and no evolve.  The runtime-evolve forecast these tables fold
 // survives in tests/core_forecaster_test.cc as their oracle.

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cassert>
 #include <cmath>
-#include <cstring>
 #include <map>
 #include <mutex>
 #include <numeric>
@@ -121,12 +120,22 @@ double RateDistribution::quantile(const SproutParams& params,
   return params.bin_rate(num_bins() - 1);
 }
 
-TransitionMatrix::TransitionMatrix(const SproutParams& params)
-    : n_(static_cast<std::size_t>(params.num_bins)), m_(n_ * n_, 0.0) {
+namespace {
+
+constexpr std::size_t kTile = 16;  // output columns per kernels::panel16 call
+
+// At most this many counts get likelihood rows (a count past them computes
+// directly): 4 MiB at 256 bins, where the defaults need 41 rows.
+constexpr int kMaxLikelihoodRows = 1024;
+
+// The exact one-tick kernel, row-major bins × bins: row i is the
+// distribution of the next tick's bin given bin i.
+std::vector<double> exact_rows(const SproutParams& params) {
+  const auto n = static_cast<std::size_t>(params.num_bins);
+  std::vector<double> m(n * n, 0.0);
   const double s =
       params.sigma_pps_per_sqrt_s * std::sqrt(params.tick_seconds());
   assert(s > 0.0);
-  assert(params.band_epsilon >= 0.0 && params.band_epsilon < 0.1);
   const double bin_width = params.bin_rate(1) - params.bin_rate(0);
 
   // Gaussian step discretized over bin cells, with a REFLECTING boundary at
@@ -137,10 +146,10 @@ TransitionMatrix::TransitionMatrix(const SproutParams& params)
   // Mass that would land below zero is folded back to +|x|.  The top cell
   // absorbs the upper tail (the paper caps rates at 1000 packets/s).
   auto gaussian_row = [&](double center, double* row) {
-    for (std::size_t j = 0; j < n_; ++j) {
+    for (std::size_t j = 0; j < n; ++j) {
       const double lo =
           j == 0 ? 0.0 : params.bin_rate(static_cast<int>(j)) - bin_width / 2;
-      const double hi = j + 1 == n_
+      const double hi = j + 1 == n
                             ? 1e30
                             : params.bin_rate(static_cast<int>(j)) + bin_width / 2;
       const double direct = phi((hi - center) / s) - phi((lo - center) / s);
@@ -149,8 +158,8 @@ TransitionMatrix::TransitionMatrix(const SproutParams& params)
     }
   };
 
-  for (std::size_t i = 1; i < n_; ++i) {
-    gaussian_row(params.bin_rate(static_cast<int>(i)), &m_[i * n_]);
+  for (std::size_t i = 1; i < n; ++i) {
+    gaussian_row(params.bin_rate(static_cast<int>(i)), &m[i * n]);
   }
 
   // Outage row (λ = 0): sticky.  With probability exp(-λz τ) the outage
@@ -159,28 +168,45 @@ TransitionMatrix::TransitionMatrix(const SproutParams& params)
   // outage duration is exactly 1/λz.
   const double escape = 1.0 - std::exp(-params.outage_escape_rate_per_s *
                                        params.tick_seconds());
-  std::vector<double> esc_row(n_, 0.0);
+  std::vector<double> esc_row(n, 0.0);
   gaussian_row(0.0, esc_row.data());
   esc_row[0] = 0.0;  // escaped: must leave the outage bin
   const double esc_sum = std::accumulate(esc_row.begin(), esc_row.end(), 0.0);
   assert(esc_sum > 0.0);
-  m_[0] = 1.0 - escape;
-  for (std::size_t j = 1; j < n_; ++j) {
-    m_[j] = escape * esc_row[j] / esc_sum;
+  m[0] = 1.0 - escape;
+  for (std::size_t j = 1; j < n; ++j) {
+    m[j] = escape * esc_row[j] / esc_sum;
   }
 
   // Each row must be a probability distribution.
-  for (std::size_t i = 0; i < n_; ++i) {
-    const double* row = m_.data() + i * n_;
-    double sum = std::accumulate(row, row + n_, 0.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    double* row = m.data() + i * n;
+    const double sum = std::accumulate(row, row + n, 0.0);
     assert(std::abs(sum - 1.0) < 1e-9);
-    for (std::size_t j = 0; j < n_; ++j) m_[i * n_ + j] /= sum;
+    for (std::size_t j = 0; j < n; ++j) row[j] /= sum;
   }
-
-  build_band(params.band_epsilon);
+  return m;
 }
 
-void TransitionMatrix::build_band(double epsilon) {
+// Thread-local scratch keeps the matrices themselves immutable, so one
+// cached instance is safely shared across concurrent sweep cells.
+std::vector<double>& evolve_scratch() {
+  thread_local std::vector<double> scratch;
+  return scratch;
+}
+
+}  // namespace
+
+TransitionMatrix::TransitionMatrix(const SproutParams& params)
+    : n_(static_cast<std::size_t>(params.num_bins)) {
+  assert(params.band_epsilon >= 0.0 && params.band_epsilon < 0.1);
+  build_band(exact_rows(params), params.band_epsilon);
+  build_tiles();
+  build_likelihoods(params);
+}
+
+void TransitionMatrix::build_band(const std::vector<double>& rows,
+                                  double epsilon) {
   band_epsilon_ = epsilon;
   band_lo_.resize(n_);
   band_hi_.resize(n_);
@@ -188,7 +214,7 @@ void TransitionMatrix::build_band(double epsilon) {
   std::size_t packed = 0;
   std::int64_t total_width = 0;
   for (std::size_t i = 0; i < n_; ++i) {
-    const double* row = &m_[i * n_];
+    const double* row = &rows[i * n_];
     // Greedy tail trim: drop the smaller end entry while the total dropped
     // mass stays within ε.  Rows are unimodal up to the outage column, so
     // end entries are the smallest; trimming them first loses the least.
@@ -216,7 +242,7 @@ void TransitionMatrix::build_band(double epsilon) {
   band_off_[n_] = packed;
   band_.resize(packed);
   for (std::size_t i = 0; i < n_; ++i) {
-    const double* row = &m_[i * n_];
+    const double* row = &rows[i * n_];
     const auto lo = static_cast<std::size_t>(band_lo_[i]);
     const auto hi = static_cast<std::size_t>(band_hi_[i]);
     // Renormalize the retained span so every band row is still a
@@ -243,31 +269,82 @@ void TransitionMatrix::build_band(double epsilon) {
       static_cast<double>(total_width) / static_cast<double>(n_);
 }
 
-namespace {
-
-// Thread-local scratch keeps the matrix itself immutable, so one cached
-// instance is safely shared across concurrent sweep cells.
-std::vector<double>& evolve_scratch(std::size_t n) {
-  thread_local std::vector<double> scratch;
-  scratch.assign(n, 0.0);
-  return scratch;
+void TransitionMatrix::build_tiles() {
+  tiles_.resize((n_ + kTile - 1) / kTile);
+  std::size_t offset = 0;
+  for (std::size_t t = 0; t < tiles_.size(); ++t) {
+    const std::size_t c0 = t * kTile;
+    // The rows whose band [lo, hi) overlaps [c0, c0 + 16); a row between
+    // two such rows that misses the block is stored as zeros.
+    Tile& tile = tiles_[t];
+    tile.row_lo = n_;
+    for (std::size_t i = 0; i < n_; ++i) {
+      const auto lo = static_cast<std::size_t>(band_lo_[i]);
+      const auto hi = static_cast<std::size_t>(band_hi_[i]);
+      if (lo >= c0 + kTile || hi <= c0) continue;
+      tile.row_lo = std::min(tile.row_lo, i);
+      tile.row_hi = i + 1;
+    }
+    tile.row_lo = std::min(tile.row_lo, tile.row_hi);
+    tile.offset = offset;
+    offset += (tile.row_hi - tile.row_lo) * kTile;
+  }
+  tile_data_.assign(offset, 0.0);
+  for (std::size_t t = 0; t < tiles_.size(); ++t) {
+    const std::size_t c0 = t * kTile;
+    const Tile& tile = tiles_[t];
+    for (std::size_t i = tile.row_lo; i < tile.row_hi; ++i) {
+      const auto lo = static_cast<std::size_t>(band_lo_[i]);
+      const auto hi = static_cast<std::size_t>(band_hi_[i]);
+      double* out = &tile_data_[tile.offset + (i - tile.row_lo) * kTile];
+      for (std::size_t j = std::max(lo, c0); j < std::min(hi, c0 + kTile);
+           ++j) {
+        out[j - c0] = band_[band_off_[i] + (j - lo)];
+      }
+    }
+  }
 }
 
-// Per-pass axpy-dispatch tally.  The wrappers in util/kernels.cc carry no
-// instrumentation (they are the hottest call sites in the tree), so each
-// evolve pass counts its own kernel invocations in a local and flushes once
-// here when obs is on.
-void tally_axpy_calls(std::int64_t calls) {
-  if (calls == 0) return;
-  static obs::Counter& scalar =
-      obs::Registry::instance().counter("kernels.axpy.scalar");
-  static obs::Counter& simd =
-      obs::Registry::instance().counter("kernels.axpy.avx2");
-  (std::strcmp(kernels::active_backend(), "scalar") == 0 ? scalar : simd)
-      .add(calls);
+void TransitionMatrix::build_likelihoods(const SproutParams& params) {
+  // Counts up to twice the top bin's mean per tick, and one more: a
+  // link-limited tick past that is far in the top bin's tail.  A spec's
+  // rate grid is unbounded, so the rows stop at kMaxLikelihoodRows.
+  const double tau = params.tick_seconds();
+  likelihood_rows_ = static_cast<int>(
+      std::min(2.0 * std::ceil(params.max_rate_pps * tau) + 1.0,
+               static_cast<double>(kMaxLikelihoodRows)));
+  const auto rows = static_cast<std::size_t>(likelihood_rows_);
+  log_pmf_.assign(rows * n_, kNegInf);
+  log_survival_.assign(rows * n_, kNegInf);
+  for (std::size_t i = 0; i < n_; ++i) {
+    log_survival_[i] = 0.0;  // P[X ≥ 0] = 1
+    const double mean = params.bin_rate(static_cast<int>(i)) * tau;
+    if (mean == 0.0) {
+      log_pmf_[i] = 0.0;  // the outage bin delivers nothing, surely
+      continue;
+    }
+    // The arithmetic of poisson_log_pmf and poisson_log_survival, with the
+    // per-bin log(mean) and poisson_cdf's forward recurrence shared across
+    // counts: every entry is bit-equal to the direct call.
+    const double log_mean = std::log(mean);
+    double term = std::exp(-mean);
+    double sum = term;  // P[X ≤ k − 1] before clamping
+    for (std::size_t k = 0; k < rows; ++k) {
+      const int count = static_cast<int>(k);
+      log_pmf_[k * n_ + i] =
+          static_cast<double>(count) * log_mean - mean - log_factorial(count);
+      if (k == 0) continue;
+      if (k >= 2) {
+        term *= mean / static_cast<double>(k - 1);
+        sum += term;
+      }
+      const double below = std::min(sum, 1.0);
+      log_survival_[k * n_ + i] = below < 0.999
+                                      ? std::log1p(-below)
+                                      : poisson_log_survival(count, mean);
+    }
+  }
 }
-
-}  // namespace
 
 void TransitionMatrix::evolve(RateDistribution& dist) const {
   assert(static_cast<std::size_t>(dist.num_bins()) == n_);
@@ -276,29 +353,38 @@ void TransitionMatrix::evolve(RateDistribution& dist) const {
         obs::Registry::instance().counter("filter.evolve.banded");
     evolves.add();
   }
-  std::vector<double>& scratch = evolve_scratch(n_);
-  const std::vector<double>& p = dist.probabilities();
-  std::int64_t axpy_calls = 0;
-  for (std::size_t i = 0; i < n_; ++i) {
-    const double pi = p[i];
-    if (pi <= 0.0) continue;
-    const auto lo = static_cast<std::size_t>(band_lo_[i]);
-    const auto width = static_cast<std::size_t>(band_hi_[i]) - lo;
-    kernels::axpy(scratch.data() + lo, &band_[band_off_[i]], pi, width);
-    ++axpy_calls;
+  std::vector<double>& p = dist.mutable_probabilities();
+  // Rows outside the posterior's nonzero support add nothing; inside it, a
+  // zero p_i or a zero-padded entry adds an exact +0.0.
+  std::size_t lo = 0;
+  std::size_t hi = n_;
+  while (lo < hi && p[lo] <= 0.0) ++lo;
+  while (hi > lo && p[hi - 1] <= 0.0) --hi;
+  std::vector<double>& scratch = evolve_scratch();
+  scratch.resize(tiles_.size() * kTile);
+  for (std::size_t t = 0; t < tiles_.size(); ++t) {
+    const Tile& tile = tiles_[t];
+    const std::size_t r0 = std::max(tile.row_lo, lo);
+    const std::size_t r1 = std::min(tile.row_hi, hi);
+    double* out = &scratch[t * kTile];
+    if (r0 >= r1) {
+      std::fill_n(out, kTile, 0.0);
+      continue;
+    }
+    kernels::panel16(out, &p[r0],
+                     &tile_data_[tile.offset + (r0 - tile.row_lo) * kTile],
+                     kTile, r1 - r0);
   }
-  if (obs::enabled()) tally_axpy_calls(axpy_calls);
-  dist.mutable_probabilities() = scratch;
+  std::copy_n(scratch.begin(), n_, p.begin());
 }
 
-void TransitionMatrix::evolve_dense(RateDistribution& dist) const {
+DenseTransitionMatrix::DenseTransitionMatrix(const SproutParams& params)
+    : n_(static_cast<std::size_t>(params.num_bins)), m_(exact_rows(params)) {}
+
+void DenseTransitionMatrix::evolve(RateDistribution& dist) const {
   assert(static_cast<std::size_t>(dist.num_bins()) == n_);
-  if (obs::enabled()) {
-    static obs::Counter& evolves =
-        obs::Registry::instance().counter("filter.evolve.dense");
-    evolves.add();
-  }
-  std::vector<double>& scratch = evolve_scratch(n_);
+  std::vector<double>& scratch = evolve_scratch();
+  scratch.assign(n_, 0.0);
   const std::vector<double>& p = dist.probabilities();
   for (std::size_t i = 0; i < n_; ++i) {
     const double pi = p[i];
@@ -308,7 +394,7 @@ void TransitionMatrix::evolve_dense(RateDistribution& dist) const {
       scratch[j] += pi * row[j];
     }
   }
-  dist.mutable_probabilities() = scratch;
+  std::copy_n(scratch.begin(), n_, dist.mutable_probabilities().begin());
 }
 
 SproutBayesFilter::SproutBayesFilter(const SproutParams& params)
@@ -317,18 +403,16 @@ SproutBayesFilter::SproutBayesFilter(const SproutParams& params)
       dist_(params.num_bins),
       log_prior_(static_cast<std::size_t>(params.num_bins)) {}
 
-void SproutBayesFilter::observe(int packets, double fraction) {
-  observe_impl(packets, fraction, /*censored=*/false);
+void SproutBayesFilter::observe(int packets) {
+  observe_impl(packets, /*censored=*/false);
 }
 
-void SproutBayesFilter::observe_at_least(int packets, double fraction) {
-  observe_impl(packets, fraction, /*censored=*/true);
+void SproutBayesFilter::observe_at_least(int packets) {
+  observe_impl(packets, /*censored=*/true);
 }
 
-void SproutBayesFilter::observe_impl(int packets, double fraction,
-                                     bool censored) {
+void SproutBayesFilter::observe_impl(int packets, bool censored) {
   assert(packets >= 0);
-  assert(fraction > 0.0 && fraction <= 1.0);
   if (obs::enabled()) {
     static obs::Counter& observes =
         obs::Registry::instance().counter("filter.observe");
@@ -337,7 +421,18 @@ void SproutBayesFilter::observe_impl(int packets, double fraction,
     observes.add();
     if (censored) censored_observes.add();
   }
-  const double tau = params_.tick_seconds() * fraction;
+  // A censored tick ("the queue went empty: at least k could have been
+  // delivered") uses the survival function, which only rules out rates too
+  // slow to have produced k — it never caps the rate from above.  A count
+  // past the tabled rows computes the same values directly.
+  const double* tabled = transitions_->log_likelihood_row(packets, censored);
+  const double tau = params_.tick_seconds();
+  const auto loglik = [&](int i) {
+    if (tabled != nullptr) return tabled[i];
+    const double mean = params_.bin_rate(i) * tau;
+    return censored ? poisson_log_survival(packets, mean)
+                    : poisson_log_pmf(packets, mean);
+  };
   std::vector<double>& p = dist_.mutable_probabilities();
   // Log-space update avoids underflow when the observation is far from a
   // bin's mean (e.g. 150 packets against λτ = 0.1).
@@ -348,13 +443,7 @@ void SproutBayesFilter::observe_impl(int packets, double fraction,
       log_prior_[static_cast<std::size_t>(i)] = kNegInf;
       continue;
     }
-    const double mean = params_.bin_rate(i) * tau;
-    // A censored tick ("the queue went empty: at least k could have been
-    // delivered") uses the survival function, which only rules out rates
-    // too slow to have produced k — it never caps the rate from above.
-    const double loglik = censored ? poisson_log_survival(packets, mean)
-                                   : poisson_log_pmf(packets, mean);
-    const double w = std::log(prior) + loglik;
+    const double w = std::log(prior) + loglik(i);
     log_prior_[static_cast<std::size_t>(i)] = w;
     max_w = std::max(max_w, w);
   }

@@ -796,13 +796,17 @@ double scheme_cost_weight(SchemeId scheme) {
   // same way (a Release build, gcc 12.2, a shared 4-vCPU 2.1 GHz Xeon), the
   // medians of 7 rounds of best-of-3 are Cubic 0.043, Sprout 0.130 and
   // Sprout-Adaptive 1.05 s per 60 simulated seconds: Sprout ~3x Cubic, the
-  // ensemble ~24x.  The other schemes run no forecaster and keep their
-  // weights.  Sprout-bearing cells still dominate shard makespans, so LPT
-  // plans keyed on these weights remain far better than cell-count balance.
+  // ensemble ~24x.  Tiling the evolve, tabling the observe likelihoods and
+  // galloping the forecast search (2026-10) cut them again; re-measured the
+  // same way, the medians are Cubic 0.055, Sprout 0.092 and
+  // Sprout-Adaptive 0.71 s: Sprout ~1.7x Cubic, the ensemble ~13x.  The
+  // other schemes run no forecaster and keep their weights.  Sprout-bearing
+  // cells still dominate shard makespans, so LPT plans keyed on these
+  // weights remain far better than cell-count balance.
   // Constants are rounded: they are ordering keys, not wall-clock
   // predictions.
   switch (scheme) {
-    case SchemeId::kSprout: return 3.0;
+    case SchemeId::kSprout: return 1.7;
     case SchemeId::kSproutEwma: return 0.7;
     case SchemeId::kSkype: return 0.24;
     case SchemeId::kFacetime: return 0.26;
@@ -816,7 +820,7 @@ double scheme_cost_weight(SchemeId scheme) {
     case SchemeId::kGcc: return 0.25;
     case SchemeId::kFast: return 0.8;
     case SchemeId::kCubicPie: return 0.65;
-    case SchemeId::kSproutAdaptive: return 24.0;
+    case SchemeId::kSproutAdaptive: return 13.0;
     case SchemeId::kSproutMmpp: return 0.7;
     case SchemeId::kSproutEmpirical: return 11.0;
     case SchemeId::kReno: return 0.9;

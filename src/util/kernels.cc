@@ -16,15 +16,11 @@ namespace {
 
 // --- scalar path ---------------------------------------------------------
 //
-// The axpy and panel16 loops are element-wise, so whatever the compiler
+// The panel16 loop is element-wise, so whatever the compiler
 // does with them (SSE2, unrolling) cannot change results — IEEE add/mul per
 // element, and FMA contraction is off by default without -ffast-math.  The
 // dot loop spells out the same four-accumulator pattern the AVX2 path uses
 // so both reduce in the same order.
-
-void axpy_scalar(double* dst, const double* src, double a, std::size_t n) {
-  for (std::size_t j = 0; j < n; ++j) dst[j] += a * src[j];
-}
 
 void panel16_scalar(double* out, const double* w, const double* x,
                     std::size_t stride, std::size_t n) {
@@ -54,19 +50,6 @@ double dot_scalar(const double* a, const double* b, std::size_t n) {
 // --- AVX2 path -----------------------------------------------------------
 
 #if SPROUT_KERNELS_HAVE_AVX2
-
-__attribute__((target("avx2"))) void axpy_avx2(double* dst, const double* src,
-                                               double a, std::size_t n) {
-  const __m256d va = _mm256_set1_pd(a);
-  std::size_t j = 0;
-  // Deliberately mul + add, not FMA: bit-identity with the scalar path.
-  for (; j + 4 <= n; j += 4) {
-    const __m256d s = _mm256_loadu_pd(src + j);
-    const __m256d d = _mm256_loadu_pd(dst + j);
-    _mm256_storeu_pd(dst + j, _mm256_add_pd(d, _mm256_mul_pd(va, s)));
-  }
-  for (; j < n; ++j) dst[j] += a * src[j];
-}
 
 __attribute__((target("avx2"))) double dot_avx2(const double* a,
                                                 const double* b,
@@ -113,21 +96,19 @@ __attribute__((target("avx2"))) void panel16_avx2(double* out,
 
 #endif  // SPROUT_KERNELS_HAVE_AVX2
 
-using AxpyFn = void (*)(double*, const double*, double, std::size_t);
 using DotFn = double (*)(const double*, const double*, std::size_t);
 using Panel16Fn = void (*)(double*, const double*, const double*, std::size_t,
                            std::size_t);
 
 struct Backend {
-  AxpyFn axpy;
   DotFn dot;
   Panel16Fn panel16;
   const char* name;
 };
 
-constexpr Backend kScalar{axpy_scalar, dot_scalar, panel16_scalar, "scalar"};
+constexpr Backend kScalar{dot_scalar, panel16_scalar, "scalar"};
 #if SPROUT_KERNELS_HAVE_AVX2
-constexpr Backend kAvx2{axpy_avx2, dot_avx2, panel16_avx2, "avx2"};
+constexpr Backend kAvx2{dot_avx2, panel16_avx2, "avx2"};
 #endif
 
 bool avx2_supported() {
@@ -164,15 +145,10 @@ Backend g_backend = resolve_startup();
 
 // NOTE: these wrappers are the hottest call sites in the tree and carry NO
 // instrumentation — not even a disabled-branch check.  The per-backend
-// dispatch tallies ("kernels.axpy.avx2", ...) are counted per PASS at the
-// call sites (TransitionMatrix::evolve and the forecaster's CDF probes),
-// which know how many kernel invocations a pass makes; the perf
-// trajectory's obs-overhead guard (< 1% on the banded-evolve bench) exists
-// to keep it that way.
-
-void axpy(double* dst, const double* src, double a, std::size_t n) {
-  g_backend.axpy(dst, src, a, n);
-}
+// dispatch tally ("kernels.dot.avx2", ...) is counted per forecast at the
+// call site, which knows how many probes it made; the perf trajectory's
+// obs-overhead guard (< 1% on the banded-evolve bench) exists to keep it
+// that way.
 
 double dot(const double* a, const double* b, std::size_t n) {
   return g_backend.dot(a, b, n);

@@ -14,7 +14,7 @@
 #include "core/adaptive.h"
 #include "core/strategy.h"
 #include "obs/metrics.h"
-#include "trace/presets.h"
+#include "replay_test_util.h"
 #include "util/poisson.h"
 
 namespace sprout {
@@ -32,11 +32,11 @@ RateDistribution locked_at(const SproutParams& p, int per_tick, int ticks = 60) 
 // --- the runtime-evolve oracle ----------------------------------------------
 //
 // The forecast the folded tables replace, kept here as their oracle (as
-// evolve_dense is the evolve's): copy the posterior, evolve the copy one tick
-// per horizon through the banded kernel, and take each evolved copy's
-// (100-confidence)th percentile — of the rate posterior, or with count noise
-// of the λ-mixture of Poisson(λ·h·τ) counts — clamped by the previous
-// horizon's count.
+// DenseTransitionMatrix is the evolve's): copy the posterior, evolve the
+// copy one tick per horizon through the banded kernel, and take each evolved
+// copy's (100-confidence)th percentile — of the rate posterior, or with
+// count noise of the λ-mixture of Poisson(λ·h·τ) counts — clamped by the
+// previous horizon's count.
 
 // The evolved copies p0 · B^h for h = 1..H.
 std::vector<RateDistribution> evolve_horizons(const SproutParams& p,
@@ -126,23 +126,6 @@ std::vector<ByteCount> oracle_forecast(
     bytes.push_back(static_cast<ByteCount>(floor) * p.mtu);
   }
   return bytes;
-}
-
-// Per-tick delivery-opportunity counts of each preset link's first
-// `duration`, as a link-limited receiver observes them.
-std::vector<std::vector<int>> preset_tick_counts(Duration duration,
-                                                 Duration tick) {
-  std::vector<std::vector<int>> links;
-  for (const LinkPreset& link : all_link_presets()) {
-    const Trace trace = preset_trace(link, duration);
-    std::vector<int> counts(static_cast<std::size_t>(duration / tick), 0);
-    for (const TimePoint t : trace.opportunities()) {
-      const auto i = static_cast<std::size_t>(t.time_since_epoch() / tick);
-      if (i < counts.size()) ++counts[i];
-    }
-    links.push_back(std::move(counts));
-  }
-  return links;
 }
 
 TEST(Forecast, CumulativeIsNondecreasing) {
@@ -352,6 +335,44 @@ TEST(Forecast, FoldedMatchesEvolveOracle) {
   EXPECT_EQ(differing, 0) << "of " << entries << " entries";
   // 6 kernels x 8 links x 3000 ticks x 6 arms x 8 horizons.
   EXPECT_EQ(entries, 6LL * 8 * 3000 * 6 * 8);
+}
+
+TEST(Forecast, GallopProbesFewerRows) {
+  // Each horizon after the first searches from the previous horizon's row,
+  // which the forecast moves by a few rows, so the probes fall well under
+  // a bisection's 8 per horizon (64 per forecast at 256 bins).  Counted
+  // through the obs tallies over each preset link's 60 s replay.
+  const SproutParams p;
+  const DeliveryForecaster fc(p);
+  const std::vector<std::vector<int>> links =
+      preset_tick_counts(sec(60), p.tick);
+  auto counter = [](const char* name) {
+    return obs::Registry::instance().counter(name).value();
+  };
+  const auto dots = [&] {
+    return counter("kernels.dot.avx2") + counter("kernels.dot.scalar");
+  };
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  const std::int64_t dots_before = dots();
+  const std::int64_t forecasts_before = counter("forecast.single");
+  for (const std::vector<int>& counts : links) {
+    SproutBayesFilter filter(p);
+    for (const int count : counts) {
+      filter.evolve();
+      filter.observe(count);
+      const DeliveryForecast f =
+          fc.forecast(filter.distribution(), TimePoint{});
+      ASSERT_EQ(f.ticks(), p.forecast_horizon_ticks);
+    }
+  }
+  const std::int64_t probes = dots() - dots_before;
+  const std::int64_t forecasts = counter("forecast.single") - forecasts_before;
+  obs::set_enabled(was_enabled);
+  ASSERT_EQ(forecasts, 8LL * 3000);
+  EXPECT_LE(static_cast<double>(probes) / static_cast<double>(forecasts),
+            32.0)
+      << probes << " probes over " << forecasts << " forecasts";
 }
 
 TEST(Forecast, TablesBuildOnceUnderConcurrentFirstUse) {

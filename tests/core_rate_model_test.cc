@@ -1,10 +1,16 @@
 #include "core/rate_model.h"
 
 #include <cmath>
+#include <cstring>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "obs/metrics.h"
+#include "replay_test_util.h"
+#include "util/kernels.h"
+#include "util/poisson.h"
 
 namespace sprout {
 namespace {
@@ -26,6 +32,11 @@ SproutParams small_params() {
   return p;
 }
 
+bool bit_equal(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
 TEST(RateDistribution, UniformPriorAtStartup) {
   RateDistribution d(256);
   EXPECT_TRUE(d.is_normalized());
@@ -45,7 +56,7 @@ TEST(RateDistribution, MeanAndQuantileOfUniform) {
 
 TEST(TransitionMatrix, RowsAreStochastic) {
   const SproutParams p = small_params();
-  TransitionMatrix m(p);
+  const DenseTransitionMatrix m(p);
   for (int i = 0; i < p.num_bins; ++i) {
     double sum = 0.0;
     for (int j = 0; j < p.num_bins; ++j) sum += m.entry(i, j);
@@ -55,7 +66,7 @@ TEST(TransitionMatrix, RowsAreStochastic) {
 
 TEST(TransitionMatrix, OutageIsSticky) {
   const SproutParams p = small_params();
-  TransitionMatrix m(p);
+  const DenseTransitionMatrix m(p);
   // Staying probability = exp(-λz τ) = exp(-0.02) ≈ 0.980.
   EXPECT_NEAR(m.entry(0, 0), std::exp(-1.0 * 0.02), 1e-9);
 }
@@ -64,7 +75,7 @@ TEST(TransitionMatrix, DiffusionDoesNotSinkIntoOutage) {
   // The reflecting boundary: a mid-range rate must put (essentially) no
   // mass into the outage bin in one tick.
   const SproutParams p = small_params();
-  TransitionMatrix m(p);
+  const DenseTransitionMatrix m(p);
   EXPECT_LT(m.entry(p.num_bins / 2, 0), 1e-12);
 }
 
@@ -90,6 +101,89 @@ TEST(TransitionMatrix, EvolutionSpreadsAConcentratedBelief) {
   EXPECT_GT(after, before);
   // Mean roughly preserved away from the boundaries.
   EXPECT_NEAR(d.mean(p), p.bin_rate(32), 25.0);
+}
+
+// The observe's arithmetic with every likelihood computed directly: the
+// oracle of the kernel's tabled likelihood rows.
+void direct_observe(const SproutParams& p, RateDistribution& d, int count,
+                    bool censored) {
+  std::vector<double>& prob = d.mutable_probabilities();
+  std::vector<double> w(prob.size(), kNegInf);
+  double max_w = kNegInf;
+  for (int i = 0; i < d.num_bins(); ++i) {
+    const double prior = prob[static_cast<std::size_t>(i)];
+    if (prior <= 0.0) continue;
+    const double mean = p.bin_rate(i) * p.tick_seconds();
+    const double loglik = censored ? poisson_log_survival(count, mean)
+                                   : poisson_log_pmf(count, mean);
+    w[static_cast<std::size_t>(i)] = std::log(prior) + loglik;
+    max_w = std::max(max_w, w[static_cast<std::size_t>(i)]);
+  }
+  if (max_w == kNegInf) {
+    d.reset_uniform();
+    return;
+  }
+  for (std::size_t i = 0; i < prob.size(); ++i) {
+    prob[i] = w[i] == kNegInf ? 0.0 : std::exp(w[i] - max_w);
+  }
+  d.normalize();
+}
+
+TEST(BayesFilter, TabledObserveMatchesDirectOracle) {
+  // Each preset link's 60 s of per-tick counts, observed exact and
+  // censored, then counts straddling the last tabled row (40 is the last
+  // of 41 at the defaults) from every link's final posterior: every
+  // posterior bit must equal the direct-likelihood oracle's.
+  const SproutParams p;
+  std::int64_t observes = 0;
+  std::int64_t differing = 0;
+  const auto check = [&](SproutBayesFilter& f, int count, bool censored) {
+    RateDistribution want = f.distribution();
+    direct_observe(f.params(), want, count, censored);
+    if (censored) {
+      f.observe_at_least(count);
+    } else {
+      f.observe(count);
+    }
+    ++observes;
+    if (bit_equal(f.distribution().probabilities(), want.probabilities())) {
+      return;
+    }
+    if (++differing <= 10) {
+      ADD_FAILURE() << "count=" << count << " censored=" << censored;
+    }
+  };
+  for (const std::vector<int>& counts : preset_tick_counts(sec(60), p.tick)) {
+    for (const bool censored : {false, true}) {
+      SproutBayesFilter f(p);
+      for (const int count : counts) {
+        f.evolve();
+        check(f, count, censored);
+      }
+      for (const int count : {0, 40, 41, 80, 200}) {
+        for (const bool straddle_censored : {false, true}) {
+          SproutBayesFilter g = f;
+          g.evolve();
+          check(g, count, straddle_censored);
+        }
+      }
+    }
+  }
+  // A rate grid whose top bin expects 2000 packets a tick would table
+  // 4001 counts; the rows stop at 1024, and counts on both sides of the
+  // last one still match.
+  SproutParams wide;
+  wide.num_bins = 64;
+  wide.max_rate_pps = 1e5;
+  wide.sigma_pps_per_sqrt_s = 2e4;
+  for (const int count : {0, 1023, 1024, 3000}) {
+    for (const bool censored : {false, true}) {
+      SproutBayesFilter f(wide);
+      check(f, count, censored);
+    }
+  }
+  EXPECT_EQ(differing, 0) << "of " << observes << " observes";
+  EXPECT_EQ(observes, 8LL * 2 * (3000 + 10) + 8);
 }
 
 TEST(BayesFilter, ObservationConcentratesAtTrueRate) {
@@ -252,6 +346,7 @@ TEST(TransitionMatrixCache, BandEpsilonKeysTheCache) {
 TEST(BandedEvolve, BandsRetainTheRowMassBudget) {
   const SproutParams p = small_params();
   TransitionMatrix m(p);
+  const DenseTransitionMatrix exact(p);
   EXPECT_DOUBLE_EQ(m.band_epsilon(), p.band_epsilon);
   EXPECT_GT(m.max_bandwidth(), 0);
   // Banding must actually trim: a per-tick σ of a few bins leaves most of
@@ -261,7 +356,7 @@ TEST(BandedEvolve, BandsRetainTheRowMassBudget) {
     const auto [lo, hi] = m.row_extent(i);
     ASSERT_LT(lo, hi) << "row " << i;
     double kept = 0.0;
-    for (int j = lo; j < hi; ++j) kept += m.entry(i, j);
+    for (int j = lo; j < hi; ++j) kept += exact.entry(i, j);
     EXPECT_GE(kept, 1.0 - p.band_epsilon - 1e-15) << "row " << i;
   }
 }
@@ -274,6 +369,7 @@ TEST(BandedEvolve, MatchesDenseWithinEpsilonBudget) {
     SproutParams p = small_params();
     p.band_epsilon = eps;
     TransitionMatrix m(p);
+    const DenseTransitionMatrix exact(p);
     for (const int start : {0, 1, 17, 32, 62, 63}) {
       RateDistribution banded(p.num_bins);
       auto& probs = banded.mutable_probabilities();
@@ -281,7 +377,7 @@ TEST(BandedEvolve, MatchesDenseWithinEpsilonBudget) {
       probs[static_cast<std::size_t>(start)] = 1.0;
       RateDistribution dense = banded;
       m.evolve(banded);
-      m.evolve_dense(dense);
+      exact.evolve(dense);
       for (int j = 0; j < p.num_bins; ++j) {
         EXPECT_NEAR(banded.probability(j), dense.probability(j), 4.0 * eps)
             << "eps=" << eps << " start=" << start << " j=" << j;
@@ -313,10 +409,79 @@ TEST(BandedEvolve, SteadyStateStaysClosedToDense) {
   }
 }
 
+TEST(BandedEvolve, TiledMatchesRowByRowOracle) {
+  // The tiled evolve against the row-by-row accumulation over the band it
+  // regroups — dst[j] += p_i · band_row(i)[j − lo], ascending i, rows with
+  // p_i ≤ 0 skipped — bit for bit, on point masses, the uniform prior and
+  // replayed posteriors (whose tails underflow to exact zeros), at bin
+  // counts on and off the 16-column tile width, on both kernel backends.
+  const std::string saved = kernels::active_backend();
+  std::vector<std::string> backends = {"scalar"};
+  if (kernels::force_backend("avx2")) backends.emplace_back("avx2");
+  const std::vector<std::vector<int>> links =
+      preset_tick_counts(sec(10), SproutParams{}.tick);
+  std::int64_t evolves = 0;
+  std::int64_t differing = 0;
+  for (const int bins : {64, 100, 256}) {
+    for (const double epsilon : {0.0, 1e-12}) {
+      SproutParams p;
+      p.num_bins = bins;
+      p.band_epsilon = epsilon;
+      const TransitionMatrix m(p);
+      std::vector<RateDistribution> posteriors;
+      for (const int bin : {0, 1, bins / 2, bins - 1}) {
+        RateDistribution point(bins);
+        std::vector<double>& prob = point.mutable_probabilities();
+        std::fill(prob.begin(), prob.end(), 0.0);
+        prob[static_cast<std::size_t>(bin)] = 1.0;
+        posteriors.push_back(point);
+      }
+      posteriors.emplace_back(bins);  // uniform
+      for (const std::vector<int>& counts : links) {
+        SproutBayesFilter f(p);
+        for (std::size_t t = 0; t < counts.size(); ++t) {
+          f.evolve();
+          f.observe(counts[t]);
+          if (t % 25 == 0) posteriors.push_back(f.distribution());
+        }
+      }
+      for (const RateDistribution& d : posteriors) {
+        std::vector<double> want(static_cast<std::size_t>(bins), 0.0);
+        for (int i = 0; i < bins; ++i) {
+          const double pi = d.probability(i);
+          if (pi <= 0.0) continue;
+          const int lo = m.row_extent(i).first;
+          const std::span<const double> row = m.band_row(i);
+          for (std::size_t k = 0; k < row.size(); ++k) {
+            want[static_cast<std::size_t>(lo) + k] += pi * row[k];
+          }
+        }
+        for (const std::string& backend : backends) {
+          ASSERT_TRUE(kernels::force_backend(backend.c_str()));
+          RateDistribution got = d;
+          m.evolve(got);
+          ++evolves;
+          if (bit_equal(got.probabilities(), want)) continue;
+          if (++differing <= 10) {
+            ADD_FAILURE() << "bins=" << bins << " eps=" << epsilon
+                          << " backend=" << backend;
+          }
+        }
+      }
+    }
+  }
+  kernels::force_backend(saved.c_str());
+  EXPECT_EQ(differing, 0) << "of " << evolves << " evolves";
+  // 5 synthetic + 8 links x 20 replayed posteriors, per bins x epsilon.
+  EXPECT_EQ(evolves,
+            6LL * (5 + 8 * 20) * static_cast<std::int64_t>(backends.size()));
+}
+
 TEST(BandedEvolve, ZeroEpsilonIsBitIdenticalToDense) {
   SproutParams p = small_params();
   p.band_epsilon = 0.0;
   TransitionMatrix m(p);
+  const DenseTransitionMatrix exact(p);
   // ε = 0 may still trim EXACT zeros (underflowed tails) but must keep
   // every nonzero entry unscaled.
   EXPECT_LE(m.max_bandwidth(), p.num_bins);
@@ -324,7 +489,7 @@ TEST(BandedEvolve, ZeroEpsilonIsBitIdenticalToDense) {
   RateDistribution dense(p.num_bins);
   for (int t = 0; t < 20; ++t) {
     m.evolve(banded);
-    m.evolve_dense(dense);
+    exact.evolve(dense);
   }
   for (int j = 0; j < p.num_bins; ++j) {
     EXPECT_EQ(banded.probability(j), dense.probability(j)) << "bin " << j;
