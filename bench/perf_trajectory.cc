@@ -31,9 +31,13 @@
 // of the forecast tables in both modes, one observe on the locked
 // posterior (exact and censored counts), full receiver ticks (evolve + observe + 8-horizon forecast)
 // in both forecast modes and for the Adaptive, MMPP and Empirical
-// strategies, GCC's per-packet receiver pipeline, and one wire-message
-// round trip.  receiver_core_pct is the default receiver tick's share of
-// one core at 50 ticks/s: the paper's "under 5% of a PC core", measured.
+// strategies, GCC's per-packet receiver pipeline, one wire-message
+// round trip, and the tower's two hot paths: one PF slot over 1000
+// brownian users (tower_pf_slot) and, per packet, a 64-packet
+// same-instant burst through a CellsimLink into its queue and out at the
+// next opportunity, event loop included (link_burst_pkt).
+// receiver_core_pct is the default receiver tick's share of one core at
+// 50 ticks/s: the paper's "under 5% of a PC core", measured.
 //
 // Usage:
 //   perf_trajectory [--json FILE] [--check]
@@ -55,8 +59,11 @@
 #include "core/rate_model.h"
 #include "core/strategy.h"
 #include "core/wire.h"
+#include "link/cellsim.h"
+#include "link/tower_cell.h"
 #include "metrics/recorder.h"
 #include "obs/metrics.h"
+#include "sim/simulator.h"
 #include "util/kernels.h"
 
 namespace sprout {
@@ -361,6 +368,45 @@ int run(const Options& opt) {
   }
   msg.forecast = block;
 
+  // --- the tower's hot paths: one PF slot over 1000 attached brownian
+  // users (each slot scans them all), and one sender burst through a
+  // Cellsim link: 64 same-instant MTU packets cross the propagation delay
+  // as one burst into the queue, and a 64-MTU opportunity every
+  // millisecond drains them, so the queue stays bounded ---
+  TowerCell tower(TowerCellParams{});
+  for (std::int64_t u = 1; u <= 1000; ++u) {
+    tower.add_user(u, make_tower_channel(SynthSpec{},
+                                         static_cast<std::uint64_t>(u)));
+  }
+  const double tower_pf_slot_ns = time_ns([&] {
+    if (tower.step() < 0) std::abort();
+  });
+
+  constexpr int kBurst = 64;
+  Simulator sim;
+  struct Drain : PacketSink {
+    std::int64_t packets = 0;
+    void receive(Packet&&) override { ++packets; }
+  } drain;
+  std::vector<TimePoint> every_ms;
+  for (int ms = 1; ms <= 1000; ++ms) every_ms.push_back(TimePoint{} + msec(ms));
+  CellsimConfig burst_config;
+  burst_config.opportunity_bytes = kBurst * kMtuBytes;
+  CellsimLink burst_link(sim, Trace{std::move(every_ms), sec(1)},
+                         burst_config, drain);
+  const double link_burst_pkt_ns =
+      time_ns([&] {
+        for (int i = 0; i < kBurst; ++i) {
+          Packet p;
+          p.size = kMtuBytes;
+          p.sent_at = sim.now();
+          burst_link.receive(std::move(p));
+        }
+        sim.run_until(sim.now() + msec(1));
+      }) /
+      kBurst;
+  if (drain.packets == 0) std::abort();
+
   const std::vector<std::pair<const char*, double>> timings = {
       {"evolve_dense", dense_ns},
       {"evolve_banded", banded_ns},
@@ -381,13 +427,15 @@ int run(const Options& opt) {
       {"wire_roundtrip", time_ns([&] {
          if (!parse(serialize(msg)).has_value()) std::abort();
        })},
+      {"tower_pf_slot", tower_pf_slot_ns},
+      {"link_burst_pkt", link_burst_pkt_ns},
   };
 
   std::string json;
   appendf(json,
           "{\n"
           "  \"artifact\": \"perf_trajectory\",\n"
-          "  \"pr\": 19,\n"
+          "  \"pr\": 20,\n"
           "  \"config\": {\n"
           "    \"bins\": %d,\n"
           "    \"band_epsilon\": %.3g,\n"

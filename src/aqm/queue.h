@@ -43,6 +43,12 @@ class LinkQueue {
 
   void count_rejected_arrival() { ++dropped_; }
 
+  // Empties the queue and frees its storage; the drop count is kept.
+  void release() {
+    std::deque<Packet>().swap(queue_);
+    bytes_ = 0;
+  }
+
   // Records a dequeue-side policy drop (the policy already popped the
   // packet; this keeps the drop visible in the queue's counters).
   void note_policy_drop() { ++dropped_; }

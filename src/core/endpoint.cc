@@ -82,10 +82,10 @@ void SproutEndpoint::emit(SproutWireMessage&& msg, ByteCount wire_size) {
   p.flow_id = flow_id_;
   p.size = wire_size;
   p.sent_at = sim_.now();
-  // Pooled payload: reuse a recycled buffer's capacity instead of a fresh
-  // heap allocation per packet (sim/packet_pool.h).
-  p.payload = sim_.pool().acquire();
-  serialize_into(msg, p.payload);
+  // Pooled extras: reuse a recycled box and its payload capacity instead
+  // of fresh heap allocations per packet (sim/packet_pool.h).
+  p.extras = sim_.pool().acquire();
+  serialize_into(msg, p.extras->payload);
   if (msg.header.payload_bytes > 0 && source_ != nullptr) {
     source_->fill(p, msg.header.payload_bytes);
   }
@@ -93,10 +93,8 @@ void SproutEndpoint::emit(SproutWireMessage&& msg, ByteCount wire_size) {
 }
 
 void SproutEndpoint::receive(Packet&& p) {
-  const std::optional<SproutWireMessage> msg = parse(p.payload);
-  // The payload dies here either way; hand its capacity back to the pool
-  // for the next emit().
-  sim_.pool().recycle(std::move(p.payload));
+  const std::optional<SproutWireMessage> msg =
+      p.extras != nullptr ? parse(p.extras->payload) : std::nullopt;
   if (!msg.has_value()) {
     ++malformed_;
     return;
@@ -106,10 +104,13 @@ void SproutEndpoint::receive(Packet&& p) {
     sender_.on_forecast(*msg->forecast, sim_.now());
   }
   if (tunnel_delivery_) {
-    for (Packet& client : p.tunneled) {
+    for (Packet& client : p.extras->tunneled) {
       tunnel_delivery_(std::move(client));
     }
   }
+  // The extras die here; hand the box and its capacity back to the pool
+  // for the next emit().
+  sim_.pool().recycle(std::move(p.extras));
 }
 
 }  // namespace sprout

@@ -7,6 +7,8 @@
 #include <map>
 #include <mutex>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 #include <tuple>
 
 #include "obs/metrics.h"
@@ -172,7 +174,17 @@ std::vector<double> exact_rows(const SproutParams& params) {
   gaussian_row(0.0, esc_row.data());
   esc_row[0] = 0.0;  // escaped: must leave the outage bin
   const double esc_sum = std::accumulate(esc_row.begin(), esc_row.end(), 0.0);
-  assert(esc_sum > 0.0);
+  if (!(esc_sum > 0.0)) {
+    // Bins too wide against the per-tick step: the escape row's whole
+    // Gaussian mass underflows, and dividing by it would make every
+    // posterior NaN.
+    throw std::invalid_argument(
+        "rate grid too coarse for the rate walk: max_rate_pps " +
+        std::to_string(params.max_rate_pps) + " over num_bins " +
+        std::to_string(params.num_bins) + " gives bins too wide for sigma " +
+        std::to_string(params.sigma_pps_per_sqrt_s) +
+        " pps/sqrt(s) (the outage escape row has no mass)");
+  }
   m[0] = 1.0 - escape;
   for (std::size_t j = 1; j < n; ++j) {
     m[j] = escape * esc_row[j] / esc_sum;
@@ -341,7 +353,7 @@ void TransitionMatrix::build_likelihoods(const SproutParams& params) {
       const double below = std::min(sum, 1.0);
       log_survival_[k * n_ + i] = below < 0.999
                                       ? std::log1p(-below)
-                                      : poisson_log_survival(count, mean);
+                                      : poisson_log_deep_tail(count, mean);
     }
   }
 }

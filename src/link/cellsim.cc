@@ -12,16 +12,18 @@ CellsimLink::CellsimLink(Simulator& sim, Trace trace, CellsimConfig config,
       config_(config),
       out_(out),
       policy_(policy ? std::move(policy) : std::make_unique<AqmPolicy>()),
-      loss_rng_(config.seed) {
+      loss_rng_(config.seed),
+      propagation_(sim, config.propagation_delay, /*loss_rate=*/0.0,
+                   /*seed=*/0) {
   assert(!trace_.empty() && "cellsim needs a non-empty trace");
+  propagation_.set_target(arrival_);
   schedule_next_opportunity();
 }
 
 void CellsimLink::receive(Packet&& p) {
   assert(p.size > 0 && p.size <= config_.opportunity_bytes &&
          "cellsim carries at most one MTU per packet");
-  sim_.after(config_.propagation_delay,
-             [this, p = std::move(p)]() mutable { arrive_at_queue(std::move(p)); });
+  propagation_.receive(std::move(p));
 }
 
 void CellsimLink::arrive_at_queue(Packet&& p) {

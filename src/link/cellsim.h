@@ -17,6 +17,7 @@
 #include "aqm/queue.h"
 #include "metrics/recorder.h"
 #include "sim/packet.h"
+#include "sim/relay.h"
 #include "sim/simulator.h"
 #include "trace/trace.h"
 #include "util/rng.h"
@@ -36,9 +37,19 @@ class CellsimLink : public PacketSink {
   // `policy` may be null for the default unbounded DropTail behaviour.
   CellsimLink(Simulator& sim, Trace trace, CellsimConfig config,
               PacketSink& out, std::unique_ptr<AqmPolicy> policy = nullptr);
+  // Scheduled events and the propagation stage hold `this`.
+  CellsimLink(const CellsimLink&) = delete;
+  CellsimLink& operator=(const CellsimLink&) = delete;
 
   // Ingress from the sending endpoint.
   void receive(Packet&& p) override;
+
+  // Frees the queued packets' storage.  For a sender that will never run
+  // again (a departed tower user, whose scope is cancelled): the backlog
+  // can no longer reach anyone, so it should stop costing memory.  The
+  // queue's drop count, the delivery and random-drop counters and the
+  // trace are kept.
+  void release_backlog() { queue_.release(); }
 
   // Counters for tests and metrics.
   [[nodiscard]] ByteCount delivered_bytes() const { return delivered_bytes_; }
@@ -60,6 +71,16 @@ class CellsimLink : public PacketSink {
   }
 
  private:
+  // The propagation stage's exit: the arrival step.
+  class Arrival : public PacketSink {
+   public:
+    explicit Arrival(CellsimLink& link) : link_(link) {}
+    void receive(Packet&& p) override { link_.arrive_at_queue(std::move(p)); }
+
+   private:
+    CellsimLink& link_;
+  };
+
   void arrive_at_queue(Packet&& p);
   void schedule_next_opportunity();
   void run_opportunity();
@@ -70,6 +91,8 @@ class CellsimLink : public PacketSink {
   PacketSink& out_;
   std::unique_ptr<AqmPolicy> policy_;
   Rng loss_rng_;
+  Arrival arrival_{*this};
+  DelayLink propagation_;  // lossless; the loss draw is the arrival step's
   LinkQueue queue_;
   std::size_t next_opportunity_ = 0;
   FlowTimelineRecorder* timeline_ = nullptr;

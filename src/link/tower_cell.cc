@@ -104,38 +104,53 @@ void TowerCell::add_user(std::int64_t user_id,
   if (channel == nullptr) {
     throw std::invalid_argument("tower user needs a channel");
   }
-  User user;
-  user.channel = std::move(channel);
-  user.next_advance = now_;  // first step() call draws the initial rate
-  const auto [it, inserted] = users_.emplace(user_id, std::move(user));
-  if (!inserted) {
+  // Ids rise with arrival time in practice, so this is an append.
+  const auto at = std::lower_bound(ids_.begin(), ids_.end(), user_id);
+  if (at != ids_.end() && *at == user_id) {
     throw std::invalid_argument("duplicate tower user id: " +
                                 std::to_string(user_id));
   }
+  const auto i = at - ids_.begin();
+  ids_.insert(at, user_id);
+  channels_.insert(channels_.begin() + i, std::move(channel));
+  // The first step() call draws the initial rate.
+  next_advance_.insert(next_advance_.begin() + i, now_);
+  rate_pps_.insert(rate_pps_.begin() + i, 0.0);
+  avg_pps_.insert(avg_pps_.begin() + i, 1.0);
+  byte_credit_.insert(byte_credit_.begin() + i, 0);
+  opportunities_.emplace(opportunities_.begin() + i);
 }
 
-std::vector<TimePoint> TowerCell::remove_user(std::int64_t user_id) {
-  const auto it = users_.find(user_id);
-  if (it == users_.end()) {
+std::size_t TowerCell::index_of(std::int64_t user_id) const {
+  const auto at = std::lower_bound(ids_.begin(), ids_.end(), user_id);
+  if (at == ids_.end() || *at != user_id) {
     throw std::invalid_argument("unknown tower user id: " +
                                 std::to_string(user_id));
   }
-  std::vector<TimePoint> opportunities = std::move(it->second.opportunities);
-  users_.erase(it);
+  return static_cast<std::size_t>(at - ids_.begin());
+}
+
+std::vector<TimePoint> TowerCell::remove_user(std::int64_t user_id) {
+  const std::size_t u = index_of(user_id);
+  std::vector<TimePoint> opportunities = std::move(opportunities_[u]);
+  const auto i = static_cast<std::ptrdiff_t>(u);
+  ids_.erase(ids_.begin() + i);
+  channels_.erase(channels_.begin() + i);
+  next_advance_.erase(next_advance_.begin() + i);
+  rate_pps_.erase(rate_pps_.begin() + i);
+  avg_pps_.erase(avg_pps_.begin() + i);
+  byte_credit_.erase(byte_credit_.begin() + i);
+  opportunities_.erase(opportunities_.begin() + i);
   return opportunities;
 }
 
 double TowerCell::avg_rate_pps(std::int64_t user_id) const {
-  const auto it = users_.find(user_id);
-  if (it == users_.end()) {
-    throw std::invalid_argument("unknown tower user id: " +
-                                std::to_string(user_id));
-  }
-  return it->second.avg_pps;
+  return avg_pps_[index_of(user_id)];
 }
 
 std::int64_t TowerCell::step() {
-  if (users_.empty()) {
+  const std::size_t n = ids_.size();
+  if (n == 0) {
     now_ += params_.slot;
     return -1;
   }
@@ -143,52 +158,51 @@ std::int64_t TowerCell::step() {
   // Lazily advance each user's channel to cover this slot.  A user's rate
   // holds for one model step (typically 10x the slot), so most slots touch
   // no channel at all.
-  for (auto& [id, user] : users_) {
-    while (user.next_advance <= now_) {
-      user.rate_pps = user.channel->advance();
-      user.next_advance += user.channel->step();
+  for (std::size_t u = 0; u < n; ++u) {
+    while (next_advance_[u] <= now_) {
+      rate_pps_[u] = channels_[u]->advance();
+      next_advance_[u] += channels_[u]->step();
     }
   }
 
   // Proportional-fair rule: serve argmax r_u / R_u; ties break toward the
-  // smallest id (strict >, id-ordered iteration).
-  std::int64_t winner = users_.begin()->first;
+  // smallest id (strict >, id-ordered arrays).
+  std::size_t winner = 0;
   double best = -1.0;
-  for (const auto& [id, user] : users_) {
-    const double metric = user.rate_pps / std::max(user.avg_pps, 1e-3);
+  for (std::size_t u = 0; u < n; ++u) {
+    const double metric = rate_pps_[u] / std::max(avg_pps_[u], 1e-3);
     if (metric > best) {
       best = metric;
-      winner = id;
+      winner = u;
     }
   }
 
   const double dt = to_seconds(params_.slot);
-  User& served = users_.find(winner)->second;
   const ByteCount slot_bytes = static_cast<ByteCount>(
-      served.rate_pps * static_cast<double>(kMtuBytes) * dt);
+      rate_pps_[winner] * static_cast<double>(kMtuBytes) * dt);
 
   // EWMA with the PF window's time constant; unserved users decay toward
   // zero so a freshly faded user regains priority within pf_window.
   const double beta = dt / to_seconds(params_.pf_window);
-  for (auto& [id, user] : users_) {
-    const double served_pps =
-        id == winner ? static_cast<double>(slot_bytes) /
-                           (static_cast<double>(kMtuBytes) * dt)
-                     : 0.0;
-    user.avg_pps = (1.0 - beta) * user.avg_pps + beta * served_pps;
-    user.avg_pps = std::max(user.avg_pps, 1e-3);
+  const double winner_pps =
+      static_cast<double>(slot_bytes) / (static_cast<double>(kMtuBytes) * dt);
+  for (std::size_t u = 0; u < n; ++u) {
+    const double served_pps = u == winner ? winner_pps : 0.0;
+    const double avg = (1.0 - beta) * avg_pps_[u] + beta * served_pps;
+    avg_pps_[u] = std::max(avg, 1e-3);
   }
 
   // One delivery opportunity per completed MTU, stamped at this slot.
-  served.byte_credit += slot_bytes;
-  while (served.byte_credit >= kMtuBytes) {
-    served.byte_credit -= kMtuBytes;
-    served.opportunities.push_back(now_);
+  ByteCount& credit = byte_credit_[winner];
+  credit += slot_bytes;
+  while (credit >= kMtuBytes) {
+    credit -= kMtuBytes;
+    opportunities_[winner].push_back(now_);
   }
 
   ++slots_served_;
   now_ += params_.slot;
-  return winner;
+  return ids_[winner];
 }
 
 }  // namespace sprout

@@ -22,7 +22,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -96,7 +95,7 @@ class TowerCell {
 
   [[nodiscard]] TimePoint now() const { return now_; }
   [[nodiscard]] int active_users() const {
-    return static_cast<int>(users_.size());
+    return static_cast<int>(ids_.size());
   }
   [[nodiscard]] std::int64_t slots_served() const { return slots_served_; }
 
@@ -104,18 +103,21 @@ class TowerCell {
   [[nodiscard]] double avg_rate_pps(std::int64_t user_id) const;
 
  private:
-  struct User {
-    std::unique_ptr<TowerChannel> channel;
-    TimePoint next_advance{};  // when the held rate expires
-    double rate_pps = 0.0;
-    double avg_pps = 1.0;  // PF average, floored away from zero
-    ByteCount byte_credit = 0;
-    std::vector<TimePoint> opportunities;
-  };
+  // Index of an attached user in the arrays below; throws
+  // std::invalid_argument for an unknown id.
+  [[nodiscard]] std::size_t index_of(std::int64_t user_id) const;
 
   TowerCellParams params_;
-  // id-ordered so iteration (and PF tie-breaking) is deterministic.
-  std::map<std::int64_t, User> users_;
+  // One entry per attached user, in parallel arrays sorted by id, so the
+  // per-slot passes run over contiguous memory and iteration (and PF
+  // tie-breaking) is in id order.
+  std::vector<std::int64_t> ids_;
+  std::vector<std::unique_ptr<TowerChannel>> channels_;
+  std::vector<TimePoint> next_advance_;  // when the held rate expires
+  std::vector<double> rate_pps_;
+  std::vector<double> avg_pps_;  // PF average, floored away from zero
+  std::vector<ByteCount> byte_credit_;
+  std::vector<std::vector<TimePoint>> opportunities_;
   TimePoint now_{};
   std::int64_t slots_served_ = 0;
 };

@@ -287,10 +287,15 @@ ScenarioResult run_tower(const ScenarioSpec& spec) {
     }
     // The departure cancel is scheduled from the ROOT scope (outside the
     // guard) so it cannot cancel itself; being scheduled at setup time it
-    // also sorts before any same-instant runtime event.
+    // also sorts before any same-instant runtime event.  Nothing of the
+    // user runs after it, so its standing queue is freed there too: the
+    // results read only the link's counters and trace.
     if (s.departure < spec.run_time) {
       sim.at(TimePoint{} + s.departure,
-             [&sim, scope = u.scope] { sim.cancel_scope(scope); });
+             [&sim, scope = u.scope, link = u.link.get()] {
+               sim.cancel_scope(scope);
+               link->release_backlog();
+             });
     }
     users.push_back(std::move(u));
   }

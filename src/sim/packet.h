@@ -1,13 +1,18 @@
 // The unit of data moved through the simulated network.
 //
-// Sprout serializes a real wire header into `payload` (the paper's protocol
-// is the artifact under test, so its bytes are genuine).  The simpler
-// schemes (TCP machinery, video-app models) use the scratch header fields
-// below instead of paying for serialization; both kinds of packet are
-// byte-accounted identically by the link.
+// Sprout serializes a real wire header into `extras->payload` (the paper's
+// protocol is the artifact under test, so its bytes are genuine).  The
+// simpler schemes (TCP machinery, video-app models) use the scratch header
+// fields below instead of paying for serialization; both kinds of packet
+// are byte-accounted identically by the link.
+//
+// A packet is 72 bytes and move-only.  The two rarely used vectors live
+// behind one pointer that only Sprout and tunnel packets allocate, so a
+// TCP segment or ack standing in a deep queue carries no empty vectors.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "util/units.h"
@@ -15,6 +20,16 @@
 namespace sprout {
 
 struct Packet {
+  struct Extras {
+    // Serialized protocol bytes (Sprout wire format, tunnel encapsulation).
+    std::vector<std::uint8_t> payload;
+
+    // Client packets encapsulated in this packet (SproutTunnel).  Their
+    // byte sizes are counted inside `size`; this carries their metadata
+    // across the emulated path the way a real tunnel's framing would.
+    std::vector<Packet> tunneled;
+  };
+
   // Identity of the flow this packet belongs to (assigned by endpoints;
   // used by the tunnel's flow classifier and by per-flow metrics).
   std::int64_t flow_id = 0;
@@ -34,13 +49,9 @@ struct Packet {
   std::int64_t meta = 0;
   TimePoint echo{};
 
-  // Serialized protocol bytes (Sprout wire format, tunnel encapsulation).
-  std::vector<std::uint8_t> payload;
-
-  // Client packets encapsulated in this packet (SproutTunnel).  Their byte
-  // sizes are counted inside `size`; this carries their metadata across the
-  // emulated path the way a real tunnel's framing would.
-  std::vector<Packet> tunneled;
+  // Null unless the packet carries serialized bytes or tunneled clients
+  // (sim/packet_pool.h recycles the boxes).
+  std::unique_ptr<Extras> extras;
 };
 
 // Anything that can accept a packet: endpoints, links, queues, tunnels.

@@ -1,41 +1,45 @@
-// Flat payload-buffer pool for the packet hot path.
+// Flat pool of packet extras for the packet hot path.
 //
-// Every Sprout wire packet used to heap-allocate a fresh payload vector in
+// Every Sprout wire packet used to heap-allocate a fresh payload buffer in
 // serialize() and free it a propagation delay later in receive(); in a
 // tower scenario with a thousand concurrent flows that is two allocator
 // round-trips per packet on the hottest path in the engine.  The pool keeps
-// recycled payload buffers (capacity intact, contents cleared) in a flat
-// free list owned by the Simulator, so steady-state packet emission reuses
-// a bounded set of buffers instead of churning the allocator.
+// recycled Packet::Extras boxes (payload capacity intact, contents cleared)
+// in a flat free list owned by the Simulator, so steady-state packet
+// emission reuses a bounded set of boxes instead of churning the allocator.
 //
 // Pure capacity reuse — no pointer identity escapes, so simulation results
 // are bit-identical with or without recycling.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
+
+#include "sim/packet.h"
 
 namespace sprout {
 
 class PacketPool {
  public:
-  // An empty buffer, reusing a recycled one's capacity when available.
-  [[nodiscard]] std::vector<std::uint8_t> acquire() {
-    if (free_.empty()) return {};
-    std::vector<std::uint8_t> buf = std::move(free_.back());
+  // An empty box, reusing a recycled one (and its payload capacity) when
+  // available.
+  [[nodiscard]] std::unique_ptr<Packet::Extras> acquire() {
+    if (free_.empty()) return std::make_unique<Packet::Extras>();
+    std::unique_ptr<Packet::Extras> box = std::move(free_.back());
     free_.pop_back();
-    buf.clear();
+    box->payload.clear();
+    box->tunneled.clear();
     ++reused_;
-    return buf;
+    return box;
   }
 
-  // Returns a payload buffer to the pool.  Capacity-less buffers are not
-  // worth keeping; the cap bounds the pool's memory at a few MB even if a
-  // burst parks many buffers at once.
-  void recycle(std::vector<std::uint8_t>&& buf) {
-    if (buf.capacity() == 0 || free_.size() >= kMaxFree) return;
-    free_.push_back(std::move(buf));
+  // Returns a box to the pool.  The cap bounds the pool's memory at a few
+  // MB even if a burst parks many boxes at once.
+  void recycle(std::unique_ptr<Packet::Extras>&& box) {
+    if (box == nullptr || free_.size() >= kMaxFree) return;
+    free_.push_back(std::move(box));
   }
 
   [[nodiscard]] std::size_t pooled() const { return free_.size(); }
@@ -43,7 +47,7 @@ class PacketPool {
 
  private:
   static constexpr std::size_t kMaxFree = 4096;
-  std::vector<std::vector<std::uint8_t>> free_;
+  std::vector<std::unique_ptr<Packet::Extras>> free_;
   std::uint64_t reused_ = 0;
 };
 

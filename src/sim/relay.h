@@ -2,7 +2,9 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <map>
+#include <optional>
 #include <utility>
 
 #include "sim/packet.h"
@@ -61,43 +63,93 @@ class GateSink : public PacketSink {
 };
 
 // A fixed-delay, optionally lossy pipe with no queueing dynamics: every
-// accepted packet arrives exactly `delay` later.  The tower topology's
-// shared uplink feedback path uses this instead of a full CellsimLink —
-// per-user feedback is tiny and uncontended, and a simple pipe keeps the
-// reverse direction O(1) per packet for thousands of users.
+// accepted packet arrives exactly `delay` later.  It is the simulator's one
+// constant-delay stage: Cellsim's propagation delay, the tower's shared
+// uplink feedback path and the saturator's ack path all run on it.
 //
-// Scope note: the delivery event is scheduled from receive(), so it
-// inherits the SENDER's event scope (sim/simulator.h).  A departed tower
-// user's in-flight feedback is therefore cancelled with the rest of its
-// causal chain — exactly the "departed users cost nothing" contract.
+// Accepted packets wait in one FIFO of release keys — the (time, order)
+// key each packet's own delivery event would have had, with the order
+// reserved from the simulator at receive() — and only the head sits in
+// the event queue.  When the head fires it also delivers every following
+// packet due at the same instant with the next order: a sender's burst.
+// Orders are unique, so no event can sort between two consecutive ones,
+// and each packet reaches the target at exactly its own event's key.
+//
+// Scope note: each packet is delivered under the scope that was current
+// when it was sent (sim/simulator.h), and is skipped if that scope has
+// been cancelled, exactly as its own event would have been discarded.  A
+// departed tower user's in-flight packets are therefore dropped with the
+// rest of its causal chain: the "departed users cost nothing" contract.
 class DelayLink : public PacketSink {
  public:
   DelayLink(Simulator& sim, Duration delay, double loss_rate,
             std::uint64_t seed)
-      : sim_(sim), delay_(delay), loss_rate_(loss_rate), rng_(seed) {}
+      : sim_(sim), delay_(delay), loss_rate_(loss_rate) {
+    if (loss_rate_ > 0.0) loss_rng_.emplace(seed);
+  }
+  // The head event holds `this`.
+  DelayLink(const DelayLink&) = delete;
+  DelayLink& operator=(const DelayLink&) = delete;
 
   void set_target(PacketSink& target) { target_ = &target; }
 
   void receive(Packet&& p) override {
-    if (loss_rate_ > 0.0 && rng_.bernoulli(loss_rate_)) {
+    if (loss_rng_ && loss_rng_->bernoulli(loss_rate_)) {
       ++dropped_;
       return;
     }
     ++accepted_;
-    sim_.after(delay_, [this, pkt = std::move(p)]() mutable {
-      if (target_ != nullptr) target_->receive(std::move(pkt));
-    });
+    line_.push_back(InFlight{sim_.now() + delay_, sim_.reserve_order(),
+                             sim_.current_scope(), std::move(p)});
+    if (!armed_) arm();
   }
 
   [[nodiscard]] std::int64_t accepted() const { return accepted_; }
   [[nodiscard]] std::int64_t dropped() const { return dropped_; }
 
  private:
+  struct InFlight {
+    TimePoint due;
+    std::uint64_t order;
+    Simulator::ScopeId scope;
+    Packet packet;
+  };
+
+  // Puts the head's release key in the event queue.  The event itself is
+  // in the root scope: the packets it releases carry their own scopes.
+  void arm() {
+    armed_ = true;
+    const InFlight& head = line_.front();
+    sim_.at_reserved(head.due, head.order, Simulator::kRootScope,
+                     [this] { deliver_burst(); });
+  }
+
+  void deliver_burst() {
+    // Stays armed while delivering, so a packet the target pushes back in
+    // (a zero delay) joins the line without a second head event.
+    std::uint64_t next_order = line_.front().order;
+    while (!line_.empty() && line_.front().due == sim_.now() &&
+           line_.front().order == next_order) {
+      InFlight f = std::move(line_.front());
+      line_.pop_front();
+      ++next_order;
+      if (sim_.scope_cancelled(f.scope) || target_ == nullptr) continue;
+      Simulator::ScopeGuard guard(sim_, f.scope);
+      target_->receive(std::move(f.packet));
+    }
+    armed_ = false;
+    if (!line_.empty()) arm();
+  }
+
   Simulator& sim_;
   Duration delay_;
   double loss_rate_;
-  Rng rng_;
+  // Only a lossy line draws: a 2.5 KB generator per lossless line (one
+  // per Cellsim link) would be dead weight.
+  std::optional<Rng> loss_rng_;
   PacketSink* target_ = nullptr;
+  std::deque<InFlight> line_;
+  bool armed_ = false;
   std::int64_t accepted_ = 0;
   std::int64_t dropped_ = 0;
 };

@@ -12,6 +12,15 @@ void Simulator::at(TimePoint t, Callback fn) {
   events_.push(Event{t, next_order_++, current_scope_, std::move(fn)});
 }
 
+void Simulator::at_reserved(TimePoint t, std::uint64_t order, ScopeId scope,
+                            Callback fn) {
+  assert(order < next_order_ && "order was never reserved");
+  assert(t >= now_ && (t > ran_time_ || order > ran_order_) &&
+         "reserved key sorts before the running event");
+  assert(fn && "null event callback");
+  events_.push(Event{t, order, scope, std::move(fn)});
+}
+
 Simulator::ScopeId Simulator::new_scope() {
   cancelled_.push_back(false);
   return static_cast<ScopeId>(cancelled_.size() - 1);
@@ -43,6 +52,8 @@ bool Simulator::step() {
   events_.pop();
   assert(ev.time >= now_);
   now_ = ev.time;
+  ran_time_ = ev.time;
+  ran_order_ = ev.order;
   ++processed_;
   // Events scheduled by this callback inherit its scope, so a flow's whole
   // causal chain stays cancellable without the flow knowing about scopes.

@@ -42,6 +42,18 @@ class Simulator {
   // Schedules `fn` after a relative delay.
   void after(Duration d, Callback fn) { at(now_ + d, std::move(fn)); }
 
+  // Takes the next tie-break order, exactly as scheduling an event would,
+  // without scheduling anything.  Paired with at_reserved(), it lets a
+  // component hold many would-be events in its own FIFO and keep only the
+  // head in the queue, while each one still fires at the (time, order) key
+  // its own event would have had (sim/relay.h's DelayLink).
+  [[nodiscard]] std::uint64_t reserve_order() { return next_order_++; }
+
+  // Schedules `fn` at a previously reserved (t, order) key in `scope`.  The
+  // key must not sort before the running event's.
+  void at_reserved(TimePoint t, std::uint64_t order, ScopeId scope,
+                   Callback fn);
+
   // Runs the next pending live event; returns false if none remain.
   // Cancelled-scope events encountered on the way are discarded unrun.
   bool step();
@@ -109,6 +121,9 @@ class Simulator {
 
   TimePoint now_{};
   std::uint64_t next_order_ = 0;
+  // Key of the last event run: a reserved key may not sort before it.
+  TimePoint ran_time_ = TimePoint::min();
+  std::uint64_t ran_order_ = 0;
   std::uint64_t processed_ = 0;
   std::uint64_t cancelled_events_ = 0;
   ScopeId current_scope_ = kRootScope;

@@ -5,6 +5,7 @@
 #include <utility>
 #include <vector>
 
+#include "sim/relay.h"
 #include "util/stats.h"
 
 namespace sprout {
@@ -120,22 +121,20 @@ class SaturatorEndpoint : public PacketSink {
 class FeedbackBouncer : public PacketSink {
  public:
   FeedbackBouncer(Simulator& sim, Duration delay, PacketSink& back)
-      : sim_(sim), delay_(delay), back_(back) {}
+      : path_(sim, delay, /*loss_rate=*/0.0, /*seed=*/0) {
+    path_.set_target(back);
+  }
 
   void receive(Packet&& p) override {
     // Keep only what the ack needs; acks are small and ride a clean path.
     Packet ack;
     ack.size = 40;
     ack.echo = p.echo;
-    sim_.after(delay_, [this, ack = std::move(ack)]() mutable {
-      back_.receive(std::move(ack));
-    });
+    path_.receive(std::move(ack));
   }
 
  private:
-  Simulator& sim_;
-  Duration delay_;
-  PacketSink& back_;
+  DelayLink path_;
 };
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <memory>
 
 namespace sprout {
 
@@ -84,7 +85,10 @@ ByteCount TunnelDataSource::pull(ByteCount max) {
 void TunnelDataSource::fill(Packet& wire_packet, ByteCount payload_bytes) {
   (void)payload_bytes;
   if (pending_fills_.empty()) return;
-  wire_packet.tunneled = std::move(pending_fills_.front());
+  if (wire_packet.extras == nullptr) {
+    wire_packet.extras = std::make_unique<Packet::Extras>();
+  }
+  wire_packet.extras->tunneled = std::move(pending_fills_.front());
   pending_fills_.pop_front();
 }
 

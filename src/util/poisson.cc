@@ -64,8 +64,13 @@ double poisson_log_survival(int k, double mean) {
   if (below < 0.999) {
     return std::log1p(-below);
   }
-  // Deep upper tail (mean << k): sum the tail from pmf(k); terms decay
-  // geometrically once j > mean, so a few iterations suffice.
+  return poisson_log_deep_tail(k, mean);
+}
+
+double poisson_log_deep_tail(int k, double mean) {
+  assert(k > 0);
+  assert(mean > 0.0);
+  // Terms decay geometrically once j > mean, so a few iterations suffice.
   const double log_first = poisson_log_pmf(k, mean);
   double tail = 1.0;  // in units of pmf(k)
   double term = 1.0;

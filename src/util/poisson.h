@@ -24,7 +24,16 @@ double poisson_log_pmf(int k, double mean);
 double poisson_cdf(int k, double mean);
 
 // log P[X >= k]: the censored-observation likelihood ("at least k arrived").
-// Computed stably for both tails.
+// Computed stably for both tails: log1p(-P[X <= k - 1]) while that CDF is
+// under 0.999, and poisson_log_deep_tail past it.
 double poisson_log_survival(int k, double mean);
+
+// log P[X >= k] in the deep upper tail (mean << k, where P[X <= k - 1] is
+// at least 0.999 and log1p of its complement would lose the digits): the
+// tail summed from pmf(k), whose terms decay geometrically.  k > 0 and
+// mean > 0.  A caller that already holds the CDF below k (the likelihood
+// tables' running sum) calls this directly instead of paying for
+// poisson_log_survival's O(k) CDF.
+double poisson_log_deep_tail(int k, double mean);
 
 }  // namespace sprout

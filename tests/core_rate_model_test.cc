@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -61,6 +62,32 @@ TEST(TransitionMatrix, RowsAreStochastic) {
     double sum = 0.0;
     for (int j = 0; j < p.num_bins; ++j) sum += m.entry(i, j);
     EXPECT_NEAR(sum, 1.0, 1e-9) << "row " << i;
+  }
+}
+
+TEST(TransitionMatrix, RejectsARateGridTooCoarseForTheWalk) {
+  // At the default sigma and tick, 256 bins up to 1.5e5 pps are too wide
+  // for the outage escape row to keep any Gaussian mass; dividing by it
+  // made every posterior NaN.  1e5 pps still builds.
+  SproutParams coarse;
+  coarse.max_rate_pps = 1.5e5;
+  try {
+    const TransitionMatrix m(coarse);
+    ADD_FAILURE() << "a too-coarse rate grid built a kernel";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("max_rate_pps"), std::string::npos) << what;
+    EXPECT_NE(what.find("num_bins"), std::string::npos) << what;
+    EXPECT_NE(what.find("sigma"), std::string::npos) << what;
+  }
+
+  SproutParams fine;
+  fine.max_rate_pps = 1e5;
+  SproutBayesFilter filter(fine);
+  filter.evolve();
+  filter.observe(10);
+  for (const double p : filter.distribution().probabilities()) {
+    ASSERT_TRUE(std::isfinite(p));
   }
 }
 

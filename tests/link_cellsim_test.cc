@@ -156,6 +156,36 @@ TEST(Cellsim, CodelPolicyDropsUnderStandingQueue) {
   EXPECT_LT(out.packets.size(), 200u);
 }
 
+TEST(Cellsim, ReleasingTheBacklogKeepsTheCounters) {
+  Simulator sim;
+  Collector out;
+  CellsimConfig cfg;
+  cfg.loss_rate = 0.2;
+  cfg.seed = 3;
+  // Slow link under CoDel: a standing queue, policy drops and random drops.
+  std::vector<TimePoint> opp;
+  for (int i = 1; i <= 100; ++i) opp.push_back(TimePoint{} + msec(i * 50));
+  CellsimLink link(sim, Trace{std::move(opp), sec(6)}, cfg, out,
+                   std::make_unique<CodelPolicy>());
+  for (int i = 0; i < 300; ++i) link.receive(sized_packet(kMtuBytes));
+  sim.run_until(TimePoint{} + sec(1));
+  ASSERT_GT(link.queue_packets(), 0u);
+  ASSERT_GT(link.queue_drops(), 0);
+  ASSERT_GT(link.random_drops(), 0);
+  ASSERT_GT(link.delivered_packets(), 0);
+  const std::int64_t queue_drops = link.queue_drops();
+  const std::int64_t random_drops = link.random_drops();
+  const std::int64_t delivered = link.delivered_packets();
+
+  link.release_backlog();
+  EXPECT_EQ(link.queue_packets(), 0u);
+  EXPECT_EQ(link.queue_bytes(), 0);
+  EXPECT_EQ(link.queue_drops(), queue_drops);
+  EXPECT_EQ(link.random_drops(), random_drops);
+  EXPECT_EQ(link.delivered_packets(), delivered);
+  EXPECT_EQ(link.trace().size(), 100u);
+}
+
 TEST(Cellsim, ConservationNoLossNoAqm) {
   // Property: delivered + still-queued + dropped == offered.
   Simulator sim;

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <memory>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "trace/analysis.h"
@@ -117,6 +118,42 @@ TEST(TowerCell, RejectsDuplicateAndUnknownIds) {
   EXPECT_THROW(cell.add_user(1, std::make_unique<ConstantChannel>(500.0)),
                std::invalid_argument);
   EXPECT_THROW((void)cell.remove_user(99), std::invalid_argument);
+}
+
+TEST(TowerCell, UsersAddedOutOfIdOrderAreScannedInIdOrder) {
+  // Equal channels tie on the first slots, so the ties must go to the
+  // smallest ids, whatever order the users arrived in.
+  TowerCell shuffled(TowerCellParams{});
+  for (const std::int64_t id : {9, 2, 5}) {
+    shuffled.add_user(id, std::make_unique<ConstantChannel>(500.0));
+  }
+  EXPECT_EQ(shuffled.step(), 2);
+  EXPECT_EQ(shuffled.step(), 5);
+  EXPECT_EQ(shuffled.step(), 9);
+
+  // And the whole run is the one an id-ordered attach gives, bit for bit,
+  // through a departure and a late arrival between existing ids.
+  const auto run = [](const std::vector<std::int64_t>& ids) {
+    TowerCell cell(TowerCellParams{});
+    for (const std::int64_t id : ids) {
+      cell.add_user(id, make_tower_channel(brownian_channel(1),
+                                           static_cast<std::uint64_t>(id)));
+    }
+    std::vector<std::int64_t> served;
+    for (int i = 0; i < 2000; ++i) {
+      served.push_back(cell.step());
+      if (i == 700) (void)cell.remove_user(4);
+      if (i == 900) {
+        cell.add_user(3, make_tower_channel(brownian_channel(1), 3));
+      }
+    }
+    std::vector<double> averages;
+    for (const std::int64_t id : {1, 2, 3, 6, 8}) {
+      averages.push_back(cell.avg_rate_pps(id));
+    }
+    return std::make_pair(served, averages);
+  };
+  EXPECT_EQ(run({8, 1, 6, 4, 2}), run({1, 2, 4, 6, 8}));
 }
 
 TEST(TowerCell, LiveChannelRunsAreDeterministicPerSeed) {

@@ -1,11 +1,15 @@
 #include "sim/simulator.h"
 
+#include <memory>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "sim/packet.h"
+#include "sim/packet_pool.h"
 #include "sim/relay.h"
+#include "util/rng.h"
 
 namespace sprout {
 namespace {
@@ -147,6 +151,187 @@ TEST(DemuxSink, KeepsAPerFlowByteLedger) {
   EXPECT_EQ(demux.delivered_bytes(2), 1700);
   EXPECT_EQ(demux.delivered_bytes(99), 0);
   EXPECT_EQ(demux.delivered_bytes(3), 0);
+}
+
+TEST(Packet, FitsInSeventyTwoBytes) {
+  if constexpr (sizeof(void*) == 8) {
+    EXPECT_LE(sizeof(Packet), 72u);
+  }
+}
+
+TEST(PacketPool, ReusesExtrasWithTheirPayloadCapacity) {
+  PacketPool pool;
+  std::unique_ptr<Packet::Extras> box = pool.acquire();
+  ASSERT_NE(box, nullptr);
+  box->payload.assign(300, 7);
+  box->tunneled.emplace_back();
+  const std::uint8_t* buffer = box->payload.data();
+  const std::size_t capacity = box->payload.capacity();
+  pool.recycle(std::move(box));
+  pool.recycle(nullptr);  // nothing to keep
+  EXPECT_EQ(pool.pooled(), 1u);
+
+  std::unique_ptr<Packet::Extras> again = pool.acquire();
+  EXPECT_EQ(pool.reused(), 1u);
+  EXPECT_TRUE(again->payload.empty());
+  EXPECT_TRUE(again->tunneled.empty());
+  EXPECT_EQ(again->payload.capacity(), capacity);
+  EXPECT_EQ(again->payload.data(), buffer);
+  EXPECT_EQ(pool.pooled(), 0u);
+}
+
+// The per-packet event DelayLink replaced, kept as its oracle: every
+// accepted packet rides its own event, which inherits the sender's scope.
+// A shared_ptr carries the packet because Packet is move-only and an event
+// callback must be copyable.
+class PerPacketEventLink : public PacketSink {
+ public:
+  PerPacketEventLink(Simulator& sim, Duration delay, double loss_rate,
+                     std::uint64_t seed)
+      : sim_(sim), delay_(delay), loss_rate_(loss_rate), rng_(seed) {}
+
+  void set_target(PacketSink& target) { target_ = &target; }
+
+  void receive(Packet&& p) override {
+    if (loss_rate_ > 0.0 && rng_.bernoulli(loss_rate_)) return;
+    sim_.after(delay_, [this, pkt = std::make_shared<Packet>(std::move(p))] {
+      target_->receive(std::move(*pkt));
+    });
+  }
+
+ private:
+  Simulator& sim_;
+  Duration delay_;
+  double loss_rate_;
+  Rng rng_;
+  PacketSink* target_ = nullptr;
+};
+
+// What a delivery looked like from the target: when, which packet, under
+// which scope.  Unrelated events log packet id -1.
+using DeliveryLog =
+    std::vector<std::tuple<TimePoint, std::int64_t, Simulator::ScopeId>>;
+
+struct LoggingSink : PacketSink {
+  Simulator& sim;
+  DeliveryLog& log;
+  LoggingSink(Simulator& s, DeliveryLog& l) : sim(s), log(l) {}
+  void receive(Packet&& p) override {
+    log.emplace_back(sim.now(), p.seq, sim.current_scope());
+    // Every third delivery schedules a same-instant follow-up, which
+    // inherits the delivery's scope and interleaves with later ones.
+    if (p.seq % 3 == 0) {
+      sim.after(Duration::zero(), [this, seq = p.seq] {
+        log.emplace_back(sim.now(), 100000 + seq, sim.current_scope());
+      });
+    }
+  }
+};
+
+// Three senders in two scopes send random bursts at whole-millisecond
+// instants, unrelated root events fire at the same instants, and the
+// second scope is cancelled while its packets are in flight.  Each burst
+// also schedules a marker one delay ahead partway through, so the marker
+// falls between two of the burst's packets at their delivery instant.
+template <typename Link>
+DeliveryLog run_delay_script(Duration delay, double loss_rate) {
+  Simulator sim;
+  DeliveryLog log;
+  LoggingSink sink(sim, log);
+  Link link(sim, delay, loss_rate, /*seed=*/5);
+  link.set_target(sink);
+
+  const Simulator::ScopeId a = sim.new_scope();
+  const Simulator::ScopeId b = sim.new_scope();
+  const Simulator::ScopeId sender_scope[3] = {a, a, b};
+  Rng rng(11);
+  std::int64_t next_seq = 0;
+  for (int sender = 0; sender < 3; ++sender) {
+    Simulator::ScopeGuard guard(sim, sender_scope[sender]);
+    for (int burst = 0; burst < 60; ++burst) {
+      const TimePoint at = TimePoint{} + msec(rng.uniform_int(0, 120));
+      const auto count = rng.uniform_int(1, 6);
+      const auto split = rng.uniform_int(0, count);
+      sim.at(at, [&sim, &log, &link, delay, first = next_seq, count, split] {
+        for (std::int64_t i = 0; i <= count; ++i) {
+          if (i == split) {
+            sim.after(delay, [&sim, &log, first] {
+              log.emplace_back(sim.now(), 200000 + first, sim.current_scope());
+            });
+          }
+          if (i == count) break;
+          Packet p;
+          p.size = 100;
+          p.seq = first + i;
+          link.receive(std::move(p));
+        }
+      });
+      next_seq += count;
+    }
+  }
+  for (int ms = 0; ms <= 160; ms += 4) {
+    sim.at(TimePoint{} + msec(ms), [&sim, &log] {
+      log.emplace_back(sim.now(), -1, sim.current_scope());
+    });
+  }
+  sim.at(TimePoint{} + msec(70), [&sim, b] { sim.cancel_scope(b); });
+  sim.run_until(TimePoint{} + msec(300));
+  return log;
+}
+
+TEST(DelayLink, MatchesPerPacketEventOracle) {
+  for (const Duration delay : {Duration::zero(), msec(20)}) {
+    for (const double loss : {0.0, 0.2}) {
+      const DeliveryLog got = run_delay_script<DelayLink>(delay, loss);
+      const DeliveryLog want =
+          run_delay_script<PerPacketEventLink>(delay, loss);
+      EXPECT_GT(want.size(), 300u);
+      EXPECT_EQ(got, want) << "delay " << to_millis(delay) << " ms, loss "
+                           << loss;
+    }
+  }
+}
+
+TEST(DelayLink, PushDuringDeliveryArmsOnce) {
+  Simulator sim;
+  DelayLink line(sim, Duration::zero(), 0.0, 1);
+  // Each delivery pushes the next packet back into the line until 5.
+  struct Bounce : PacketSink {
+    DelayLink& line;
+    std::vector<std::int64_t> seen;
+    explicit Bounce(DelayLink& l) : line(l) {}
+    void receive(Packet&& p) override {
+      seen.push_back(p.seq);
+      if (p.seq < 5) {
+        Packet next;
+        next.size = 1;
+        next.seq = p.seq + 1;
+        line.receive(std::move(next));
+      }
+    }
+  } bounce(line);
+  line.set_target(bounce);
+  Packet first;
+  first.size = 1;
+  line.receive(std::move(first));
+  sim.run_until(TimePoint{} + msec(1));
+  EXPECT_EQ(bounce.seen, (std::vector<std::int64_t>{0, 1, 2, 3, 4, 5}));
+  // One head event delivered the whole chain; none was left behind.
+  EXPECT_EQ(sim.events_processed(), 1u);
+  EXPECT_EQ(sim.pending(), 0u);
+  EXPECT_EQ(line.accepted(), 6);
+}
+
+TEST(Simulator, ReservedOrderFiresAtItsOwnKey) {
+  Simulator sim;
+  std::vector<int> order;
+  const TimePoint t = TimePoint{} + msec(5);
+  const std::uint64_t reserved = sim.reserve_order();
+  sim.at(t, [&] { order.push_back(2); });
+  sim.at_reserved(t, reserved, Simulator::kRootScope,
+                  [&] { order.push_back(1); });
+  sim.run_until(t);
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
 
 }  // namespace

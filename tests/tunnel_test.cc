@@ -33,8 +33,8 @@ TEST(TunnelMux, RoundRobinAcrossFlows) {
     ASSERT_EQ(mux.pull(1000), 1000);
     Packet wire;
     mux.fill(wire, 1000);
-    ASSERT_EQ(wire.tunneled.size(), 1u);
-    order.push_back(wire.tunneled[0].flow_id);
+    ASSERT_EQ(wire.extras->tunneled.size(), 1u);
+    order.push_back(wire.extras->tunneled[0].flow_id);
   }
   EXPECT_EQ(order, (std::vector<std::int64_t>{1, 2, 1, 2, 1, 2}));
   EXPECT_FALSE(mux.has_data());
@@ -49,7 +49,7 @@ TEST(TunnelMux, PacksWholePacketsUpToBudget) {
   EXPECT_EQ(mux.pull(1400), 1200);
   Packet wire;
   mux.fill(wire, 1200);
-  EXPECT_EQ(wire.tunneled.size(), 2u);
+  EXPECT_EQ(wire.extras->tunneled.size(), 2u);
   EXPECT_EQ(mux.queued_bytes(), 600);
 }
 
@@ -69,8 +69,8 @@ TEST(TunnelMux, HeadDropFromLongestQueueWhenOverBound) {
   ASSERT_GT(mux.pull(1000), 0);
   Packet wire;
   mux.fill(wire, 1000);
-  ASSERT_EQ(wire.tunneled.size(), 1u);
-  EXPECT_EQ(wire.tunneled[0].seq, 1);
+  ASSERT_EQ(wire.extras->tunneled.size(), 1u);
+  EXPECT_EQ(wire.extras->tunneled[0].seq, 1);
 }
 
 TEST(TunnelMux, BoundProviderOverridesFloor) {

@@ -110,6 +110,27 @@ TEST(PoissonSurvival, DeepTailIsStable) {
   EXPECT_NEAR(ls, poisson_log_pmf(100, 1.0), 0.05);
 }
 
+TEST(PoissonSurvival, DeepTailHelperIsTheSurvivalPastTheCdfCut) {
+  // Wherever P[X <= k - 1] reaches 0.999, poisson_log_survival is the
+  // deep-tail helper, bit for bit; before the cut the helper still agrees
+  // with the CDF's complement to summation accuracy.
+  int deep = 0;
+  for (double mean : {0.01, 0.5, 4.0, 30.0}) {
+    for (int k = 1; k <= 120; ++k) {
+      const double tail = poisson_log_deep_tail(k, mean);
+      if (poisson_cdf(k - 1, mean) >= 0.999) {
+        EXPECT_EQ(tail, poisson_log_survival(k, mean))
+            << "mean " << mean << " k " << k;
+        ++deep;
+      } else if (k > mean + 5.0) {
+        EXPECT_NEAR(tail, poisson_log_survival(k, mean), 1e-9)
+            << "mean " << mean << " k " << k;
+      }
+    }
+  }
+  EXPECT_GT(deep, 300);
+}
+
 TEST(PoissonSurvival, ZeroMean) {
   EXPECT_DOUBLE_EQ(poisson_log_survival(0, 0.0), 0.0);
   EXPECT_EQ(poisson_log_survival(1, 0.0), kNegInf);
