@@ -35,7 +35,9 @@
 // round trip, and the tower's two hot paths: one PF slot over 1000
 // brownian users (tower_pf_slot) and, per packet, a 64-packet
 // same-instant burst through a CellsimLink into its queue and out at the
-// next opportunity, event loop included (link_burst_pkt).
+// next opportunity, event loop included (link_burst_pkt: seq-0 packets,
+// which form no trains; link_train_pkt: consecutive seq, one train per
+// burst, into a standing queue).
 // receiver_core_pct is the default receiver tick's share of one core at
 // 50 ticks/s: the paper's "under 5% of a PC core", measured.
 //
@@ -407,6 +409,41 @@ int run(const Options& opt) {
       kBurst;
   if (drain.packets == 0) std::abort();
 
+  // --- the same burst as a TCP sender sends it: 64 segments with
+  // consecutive seq, which wait as one train, into a standing queue.  The
+  // link's first bursts fill a backlog of kStanding segments; after that
+  // each millisecond's opportunity drains as many as the burst adds.
+  // link_burst_pkt's seq-0 packets form no trains, so it stays the
+  // per-packet reference ---
+  constexpr int kStanding = 16 * kBurst;
+  Simulator train_sim;
+  Drain train_drain;
+  std::vector<TimePoint> train_ms;
+  for (int ms = 1; ms <= 1000; ++ms) train_ms.push_back(TimePoint{} + msec(ms));
+  CellsimLink train_link(train_sim, Trace{std::move(train_ms), sec(1)},
+                         burst_config, train_drain);
+  std::int64_t next_seq = 0;
+  const auto send_train = [&] {
+    for (int i = 0; i < kBurst; ++i) {
+      Packet p;
+      p.size = kMtuBytes;
+      p.seq = next_seq++;
+      p.sent_at = train_sim.now();
+      train_link.receive(std::move(p));
+    }
+  };
+  for (int i = 0; i < kStanding / kBurst; ++i) send_train();
+  const double link_train_pkt_ns = time_ns([&] {
+                                     send_train();
+                                     train_sim.run_until(train_sim.now() +
+                                                         msec(1));
+                                   }) /
+                                   kBurst;
+  if (train_drain.packets == 0 ||
+      train_link.queue_packets() < static_cast<std::size_t>(kStanding / 2)) {
+    std::abort();
+  }
+
   const std::vector<std::pair<const char*, double>> timings = {
       {"evolve_dense", dense_ns},
       {"evolve_banded", banded_ns},
@@ -429,13 +466,14 @@ int run(const Options& opt) {
        })},
       {"tower_pf_slot", tower_pf_slot_ns},
       {"link_burst_pkt", link_burst_pkt_ns},
+      {"link_train_pkt", link_train_pkt_ns},
   };
 
   std::string json;
   appendf(json,
           "{\n"
           "  \"artifact\": \"perf_trajectory\",\n"
-          "  \"pr\": 20,\n"
+          "  \"pr\": 21,\n"
           "  \"config\": {\n"
           "    \"bins\": %d,\n"
           "    \"band_epsilon\": %.3g,\n"

@@ -130,38 +130,38 @@ constexpr std::size_t kTile = 16;  // output columns per kernels::panel16 call
 // directly): 4 MiB at 256 bins, where the defaults need 41 rows.
 constexpr int kMaxLikelihoodRows = 1024;
 
+// One tick's Gaussian step from `center`, discretized over the bin cells,
+// with a REFLECTING boundary at zero: rates cannot be negative, and the
+// distinguished outage state must not act as a probability sink under pure
+// diffusion (its cell is only ~bin_width/2 wide while the per-tick σ is ~7
+// bins; absorbing the whole sub-zero tail there would drag any unobserved
+// belief into "outage").  Mass that would land below zero is folded back to
+// +|x|.  The top cell absorbs the upper tail (the paper caps rates at 1000
+// packets/s).
+void gaussian_row(const SproutParams& params, double center, double* row) {
+  const auto n = static_cast<std::size_t>(params.num_bins);
+  const double s =
+      params.sigma_pps_per_sqrt_s * std::sqrt(params.tick_seconds());
+  const double bin_width = params.bin_rate(1) - params.bin_rate(0);
+  for (std::size_t j = 0; j < n; ++j) {
+    const double lo =
+        j == 0 ? 0.0 : params.bin_rate(static_cast<int>(j)) - bin_width / 2;
+    const double hi = j + 1 == n
+                          ? 1e30
+                          : params.bin_rate(static_cast<int>(j)) + bin_width / 2;
+    const double direct = phi((hi - center) / s) - phi((lo - center) / s);
+    const double reflected = phi((-lo - center) / s) - phi((-hi - center) / s);
+    row[j] = direct + reflected;
+  }
+}
+
 // The exact one-tick kernel, row-major bins × bins: row i is the
 // distribution of the next tick's bin given bin i.
 std::vector<double> exact_rows(const SproutParams& params) {
   const auto n = static_cast<std::size_t>(params.num_bins);
   std::vector<double> m(n * n, 0.0);
-  const double s =
-      params.sigma_pps_per_sqrt_s * std::sqrt(params.tick_seconds());
-  assert(s > 0.0);
-  const double bin_width = params.bin_rate(1) - params.bin_rate(0);
-
-  // Gaussian step discretized over bin cells, with a REFLECTING boundary at
-  // zero: rates cannot be negative, and the distinguished outage state must
-  // not act as a probability sink under pure diffusion (its cell is only
-  // ~bin_width/2 wide while the per-tick σ is ~7 bins; absorbing the whole
-  // sub-zero tail there would drag any unobserved belief into "outage").
-  // Mass that would land below zero is folded back to +|x|.  The top cell
-  // absorbs the upper tail (the paper caps rates at 1000 packets/s).
-  auto gaussian_row = [&](double center, double* row) {
-    for (std::size_t j = 0; j < n; ++j) {
-      const double lo =
-          j == 0 ? 0.0 : params.bin_rate(static_cast<int>(j)) - bin_width / 2;
-      const double hi = j + 1 == n
-                            ? 1e30
-                            : params.bin_rate(static_cast<int>(j)) + bin_width / 2;
-      const double direct = phi((hi - center) / s) - phi((lo - center) / s);
-      const double reflected = phi((-lo - center) / s) - phi((-hi - center) / s);
-      row[j] = direct + reflected;
-    }
-  };
-
   for (std::size_t i = 1; i < n; ++i) {
-    gaussian_row(params.bin_rate(static_cast<int>(i)), &m[i * n]);
+    gaussian_row(params, params.bin_rate(static_cast<int>(i)), &m[i * n]);
   }
 
   // Outage row (λ = 0): sticky.  With probability exp(-λz τ) the outage
@@ -170,21 +170,8 @@ std::vector<double> exact_rows(const SproutParams& params) {
   // outage duration is exactly 1/λz.
   const double escape = 1.0 - std::exp(-params.outage_escape_rate_per_s *
                                        params.tick_seconds());
-  std::vector<double> esc_row(n, 0.0);
-  gaussian_row(0.0, esc_row.data());
-  esc_row[0] = 0.0;  // escaped: must leave the outage bin
+  const std::vector<double> esc_row = outage_escape_row(params);
   const double esc_sum = std::accumulate(esc_row.begin(), esc_row.end(), 0.0);
-  if (!(esc_sum > 0.0)) {
-    // Bins too wide against the per-tick step: the escape row's whole
-    // Gaussian mass underflows, and dividing by it would make every
-    // posterior NaN.
-    throw std::invalid_argument(
-        "rate grid too coarse for the rate walk: max_rate_pps " +
-        std::to_string(params.max_rate_pps) + " over num_bins " +
-        std::to_string(params.num_bins) + " gives bins too wide for sigma " +
-        std::to_string(params.sigma_pps_per_sqrt_s) +
-        " pps/sqrt(s) (the outage escape row has no mass)");
-  }
   m[0] = 1.0 - escape;
   for (std::size_t j = 1; j < n; ++j) {
     m[j] = escape * esc_row[j] / esc_sum;
@@ -208,6 +195,24 @@ std::vector<double>& evolve_scratch() {
 }
 
 }  // namespace
+
+std::vector<double> outage_escape_row(const SproutParams& params) {
+  std::vector<double> row(static_cast<std::size_t>(params.num_bins), 0.0);
+  gaussian_row(params, 0.0, row.data());
+  row[0] = 0.0;  // escaped: must leave the outage bin
+  const double sum = std::accumulate(row.begin(), row.end(), 0.0);
+  if (!(sum > 0.0)) {
+    // Bins too wide against the per-tick step: the row's whole Gaussian
+    // mass underflows, and dividing by it would make every posterior NaN.
+    throw std::invalid_argument(
+        "rate grid too coarse for the rate walk: max_rate_pps " +
+        std::to_string(params.max_rate_pps) + " over num_bins " +
+        std::to_string(params.num_bins) + " gives bins too wide for sigma " +
+        std::to_string(params.sigma_pps_per_sqrt_s) +
+        " pps/sqrt(s) (the outage escape row has no mass)");
+  }
+  return row;
+}
 
 TransitionMatrix::TransitionMatrix(const SproutParams& params)
     : n_(static_cast<std::size_t>(params.num_bins)) {

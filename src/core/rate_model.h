@@ -45,6 +45,15 @@ class RateDistribution {
   std::vector<double> p_;
 };
 
+// The outage state's escape row: the positive half of one tick's Brownian
+// step from rate 0, over bins 1.. (bin 0 holds 0), not yet normalized.
+// Throws std::invalid_argument when the rate grid is too coarse for the
+// rate walk — bins so wide against the per-tick step (or a zero sigma)
+// that the row keeps no mass, which would make every posterior NaN.  Both
+// kernels below throw it when built; the spec reader calls it so that a
+// bad grid fails at lint time.
+[[nodiscard]] std::vector<double> outage_escape_row(const SproutParams& params);
+
 // Precomputed one-tick evolution kernel, with the observation likelihoods
 // the filter reads.  Immutable after construction (evolve() works through a
 // thread-local scratch buffer), so one matrix is safely shared across

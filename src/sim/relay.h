@@ -73,7 +73,11 @@ class GateSink : public PacketSink {
 // the event queue.  When the head fires it also delivers every following
 // packet due at the same instant with the next order: a sender's burst.
 // Orders are unique, so no event can sort between two consecutive ones,
-// and each packet reaches the target at exactly its own event's key.
+// and each packet reaches the target at exactly its own event's key.  A
+// burst of consecutive plain segments waits as one train (sim/packet.h):
+// a packet joins the tail entry when it continues its train with the same
+// due time, the same scope and the next order, and the head event splits
+// the train again, one packet and one order at a time.
 //
 // Scope note: each packet is delivered under the scope that was current
 // when it was sent (sim/simulator.h), and is skipped if that scope has
@@ -99,8 +103,19 @@ class DelayLink : public PacketSink {
       return;
     }
     ++accepted_;
-    line_.push_back(InFlight{sim_.now() + delay_, sim_.reserve_order(),
-                             sim_.current_scope(), std::move(p)});
+    const TimePoint due = sim_.now() + delay_;
+    const std::uint64_t order = sim_.reserve_order();
+    const Simulator::ScopeId scope = sim_.current_scope();
+    if (!line_.empty()) {
+      InFlight& tail = line_.back();
+      if (continues_train(tail.packet, tail.count, p) && tail.due == due &&
+          tail.scope == scope && tail.order + tail.count == order &&
+          tail.count < UINT32_MAX) {
+        ++tail.count;
+        return;
+      }
+    }
+    line_.emplace_back(due, order, scope, 1u, std::move(p));
     if (!armed_) arm();
   }
 
@@ -108,10 +123,13 @@ class DelayLink : public PacketSink {
   [[nodiscard]] std::int64_t dropped() const { return dropped_; }
 
  private:
+  // A train of `count` packets: `packet` (the head, released at `order`)
+  // and its successors in seq, released at the orders after it.
   struct InFlight {
     TimePoint due;
     std::uint64_t order;
     Simulator::ScopeId scope;
+    std::uint32_t count;
     Packet packet;
   };
 
@@ -130,12 +148,21 @@ class DelayLink : public PacketSink {
     std::uint64_t next_order = line_.front().order;
     while (!line_.empty() && line_.front().due == sim_.now() &&
            line_.front().order == next_order) {
-      InFlight f = std::move(line_.front());
-      line_.pop_front();
+      InFlight& front = line_.front();
+      const Simulator::ScopeId scope = front.scope;
+      Packet p = front.count == 1 ? std::move(front.packet)
+                                  : plain_copy(front.packet);
+      if (front.count == 1) {
+        line_.pop_front();
+      } else {
+        ++front.packet.seq;
+        ++front.order;
+        --front.count;
+      }
       ++next_order;
-      if (sim_.scope_cancelled(f.scope) || target_ == nullptr) continue;
-      Simulator::ScopeGuard guard(sim_, f.scope);
-      target_->receive(std::move(f.packet));
+      if (sim_.scope_cancelled(scope) || target_ == nullptr) continue;
+      Simulator::ScopeGuard guard(sim_, scope);
+      target_->receive(std::move(p));
     }
     armed_ = false;
     if (!line_.empty()) arm();

@@ -2,7 +2,9 @@
 
 #include <ostream>
 #include <sstream>
+#include <stdexcept>
 
+#include "core/rate_model.h"
 #include "runner/registry.h"
 #include "spec/json_writer.h"
 #include "spec/synth_io.h"
@@ -59,6 +61,13 @@ SproutParams read_sprout_params(const Field& doc) {
   if (const auto f = doc.get("assumed_propagation_s")) p.assumed_propagation = f->non_negative_seconds();
   if (const auto f = doc.get("mtu_bytes")) p.mtu = f->int_at_least(1);
   if (const auto f = doc.get("heartbeat_bytes")) p.heartbeat_bytes = f->int_at_least(0);
+  // The grid must hold the rate walk, or the kernel cannot be built; fail
+  // here, with the path, rather than when a run builds it.
+  try {
+    (void)outage_escape_row(p);
+  } catch (const std::invalid_argument& e) {
+    doc.fail(e.what());
+  }
   return p;
 }
 

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <memory>
+#include <optional>
+
+#include "util/rng.h"
+
 namespace sprout {
 namespace {
 
@@ -42,6 +48,157 @@ TEST(LinkQueue, PushFrontRestoresOrder) {
   q.push_front(std::move(*first));
   EXPECT_EQ(q.head()->seq, 1);
   EXPECT_EQ(q.bytes(), 2 * kMtuBytes);
+}
+
+// A deep copy: Packet is move-only, and its extras' payload is what tells
+// two Sprout packets apart.
+Packet clone(const Packet& p) {
+  Packet c{p.flow_id, p.size, p.sent_at, p.enqueued_at,
+           p.seq,     p.ack,  p.meta,    p.echo,        nullptr};
+  if (p.extras != nullptr) {
+    c.extras = std::make_unique<Packet::Extras>();
+    c.extras->payload = p.extras->payload;
+  }
+  return c;
+}
+
+void expect_same_packet(const Packet& got, const Packet& want) {
+  EXPECT_EQ(got.flow_id, want.flow_id);
+  EXPECT_EQ(got.size, want.size);
+  EXPECT_EQ(got.sent_at, want.sent_at);
+  EXPECT_EQ(got.enqueued_at, want.enqueued_at);
+  EXPECT_EQ(got.seq, want.seq);
+  EXPECT_EQ(got.ack, want.ack);
+  EXPECT_EQ(got.meta, want.meta);
+  EXPECT_EQ(got.echo, want.echo);
+  ASSERT_EQ(got.extras == nullptr, want.extras == nullptr);
+  if (got.extras != nullptr) {
+    EXPECT_EQ(got.extras->payload, want.extras->payload);
+  }
+}
+
+// The packet-per-entry FIFO that LinkQueue's trains replace, kept as its
+// oracle.  A seeded mix of TCP-like bursts (consecutive seq at one
+// instant, now and then one field or the seq step broken mid-burst), acks,
+// packets with extras, pops, push_front of a popped packet (often split
+// out of a train), drops inside trains and releases; after every
+// operation each popped packet and head(), packets(), bytes() and
+// dropped() must read as the oracle's.
+TEST(LinkQueue, TrainsMatchPerPacketOracle) {
+  LinkQueue q;
+  std::deque<Packet> want;
+  ByteCount want_bytes = 0;
+  std::int64_t want_dropped = 0;
+  Rng rng(21);
+  TimePoint now{};
+  std::int64_t next_seq = 0;
+  std::int64_t bursts = 0;
+
+  const auto push_both = [&](Packet&& p) {
+    want_bytes += p.size;
+    want.push_back(clone(p));
+    q.push(std::move(p));
+  };
+  const auto pop_both = [&]() -> std::optional<Packet> {
+    std::optional<Packet> got = q.pop();
+    EXPECT_EQ(got.has_value(), !want.empty());
+    if (!got.has_value() || want.empty()) return std::nullopt;
+    expect_same_packet(*got, want.front());
+    want_bytes -= want.front().size;
+    want.pop_front();
+    return got;
+  };
+
+  for (int op = 0; op < 20000; ++op) {
+    now += usec(rng.uniform_int(0, 1) * 500);
+    const std::int64_t kind = rng.uniform_int(0, 99);
+    if (kind < 30) {
+      // A sender's burst, stamped at one arrival instant.
+      ++bursts;
+      const auto count = rng.uniform_int(1, 40);
+      const auto flow = rng.uniform_int(1, 3);
+      const TimePoint sent = now - msec(rng.uniform_int(0, 2));
+      for (std::int64_t i = 0; i < count; ++i) {
+        Packet p;
+        p.flow_id = flow;
+        p.size = kMtuBytes;
+        p.seq = next_seq++;
+        p.sent_at = sent;
+        p.enqueued_at = now;
+        p.echo = sent;
+        // Now and then break one field, or the seq step, mid-burst.
+        switch (rng.uniform_int(0, 40)) {
+          case 0: p.flow_id += 10; break;
+          case 1: p.size -= 1; break;
+          case 2: p.sent_at += usec(1); break;
+          case 3: p.enqueued_at += usec(1); break;
+          case 4: p.ack = 7; break;
+          case 5: p.meta = 9; break;
+          case 6: p.echo += usec(1); break;
+          case 7: p.seq = next_seq++; break;  // skips one
+          case 8: p.seq -= 1; break;          // repeats the last
+          default: break;
+        }
+        push_both(std::move(p));
+      }
+    } else if (kind < 40) {
+      // An ack: small, seq 0, the cumulative ack in `ack`.
+      Packet p;
+      p.flow_id = 4;
+      p.size = 40;
+      p.ack = rng.uniform_int(0, next_seq);
+      p.sent_at = now;
+      p.enqueued_at = now;
+      push_both(std::move(p));
+    } else if (kind < 45) {
+      // A Sprout-like packet: the next seq, but it carries extras.
+      Packet p;
+      p.flow_id = 5;
+      p.size = 700;
+      p.seq = next_seq++;
+      p.enqueued_at = now;
+      p.extras = std::make_unique<Packet::Extras>();
+      p.extras->payload.assign(3, static_cast<std::uint8_t>(p.seq));
+      push_both(std::move(p));
+    } else if (kind < 75) {
+      const auto n = rng.uniform_int(1, 30);
+      for (std::int64_t i = 0; i < n; ++i) pop_both();
+    } else if (kind < 85) {
+      // Dequeued but too big for the budget: back to the head.
+      if (std::optional<Packet> p = pop_both()) {
+        want_bytes += p->size;
+        want.push_front(clone(*p));
+        q.push_front(std::move(*p));
+      }
+    } else if (kind < 97) {
+      const auto n = rng.uniform_int(1, 5);
+      for (std::int64_t i = 0; i < n; ++i) {
+        q.drop_head();
+        if (!want.empty()) {
+          want_bytes -= want.front().size;
+          want.pop_front();
+          ++want_dropped;
+        }
+      }
+    } else {
+      q.release();
+      want.clear();
+      want_bytes = 0;
+    }
+
+    ASSERT_EQ(q.packets(), want.size()) << "op " << op;
+    ASSERT_EQ(q.empty(), want.empty()) << "op " << op;
+    ASSERT_EQ(q.bytes(), want_bytes) << "op " << op;
+    ASSERT_EQ(q.dropped(), want_dropped) << "op " << op;
+    if (want.empty()) {
+      ASSERT_EQ(q.head(), nullptr) << "op " << op;
+    } else {
+      ASSERT_NE(q.head(), nullptr) << "op " << op;
+      expect_same_packet(*q.head(), want.front());
+    }
+    ASSERT_FALSE(HasFailure()) << "op " << op;
+  }
+  EXPECT_GT(bursts, 5000);
 }
 
 TEST(Codel, NoDropsBelowTarget) {

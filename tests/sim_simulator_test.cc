@@ -228,11 +228,15 @@ struct LoggingSink : PacketSink {
   }
 };
 
-// Three senders in two scopes send random bursts at whole-millisecond
+// Three senders in two scopes send random bursts of consecutive seq (up
+// to 40 segments, which the line stores as trains) at whole-millisecond
 // instants, unrelated root events fire at the same instants, and the
-// second scope is cancelled while its packets are in flight.  Each burst
+// second scope is cancelled while its trains are in flight.  Each burst
 // also schedules a marker one delay ahead partway through, so the marker
-// falls between two of the burst's packets at their delivery instant.
+// falls between two of the burst's packets at their delivery instant and
+// must split the train.  Every fourth burst hands its tail to the other
+// scope mid-burst, so a train must also split where the scope changes,
+// and a last burst spans two instants, so it must split at the due time.
 template <typename Link>
 DeliveryLog run_delay_script(Duration delay, double loss_rate) {
   Simulator sim;
@@ -248,11 +252,15 @@ DeliveryLog run_delay_script(Duration delay, double loss_rate) {
   std::int64_t next_seq = 0;
   for (int sender = 0; sender < 3; ++sender) {
     Simulator::ScopeGuard guard(sim, sender_scope[sender]);
+    const Simulator::ScopeId other = sender_scope[sender] == a ? b : a;
     for (int burst = 0; burst < 60; ++burst) {
       const TimePoint at = TimePoint{} + msec(rng.uniform_int(0, 120));
-      const auto count = rng.uniform_int(1, 6);
+      const auto count = rng.uniform_int(1, 40);
       const auto split = rng.uniform_int(0, count);
-      sim.at(at, [&sim, &log, &link, delay, first = next_seq, count, split] {
+      const std::int64_t handoff =
+          burst % 4 == 3 ? rng.uniform_int(1, count) : count;
+      sim.at(at, [&sim, &log, &link, delay, other, first = next_seq, count,
+                  split, handoff] {
         for (std::int64_t i = 0; i <= count; ++i) {
           if (i == split) {
             sim.after(delay, [&sim, &log, first] {
@@ -263,7 +271,12 @@ DeliveryLog run_delay_script(Duration delay, double loss_rate) {
           Packet p;
           p.size = 100;
           p.seq = first + i;
-          link.receive(std::move(p));
+          if (i >= handoff) {
+            Simulator::ScopeGuard handed(sim, other);
+            link.receive(std::move(p));
+          } else {
+            link.receive(std::move(p));
+          }
         }
       });
       next_seq += count;
@@ -272,6 +285,20 @@ DeliveryLog run_delay_script(Duration delay, double loss_rate) {
   for (int ms = 0; ms <= 160; ms += 4) {
     sim.at(TimePoint{} + msec(ms), [&sim, &log] {
       log.emplace_back(sim.now(), -1, sim.current_scope());
+    });
+  }
+  // Last, once the line is quiet: a burst that spans two instants, with
+  // nothing reserving an order between its halves, so the second half
+  // takes the next orders but is due a millisecond later: it must not
+  // join the first half's train.
+  for (int half = 0; half < 2; ++half) {
+    sim.at(TimePoint{} + msec(200 + half), [&link, first = next_seq + 3 * half] {
+      for (std::int64_t i = 0; i < 3; ++i) {
+        Packet p;
+        p.size = 100;
+        p.seq = first + i;
+        link.receive(std::move(p));
+      }
     });
   }
   sim.at(TimePoint{} + msec(70), [&sim, b] { sim.cancel_scope(b); });
@@ -285,7 +312,7 @@ TEST(DelayLink, MatchesPerPacketEventOracle) {
       const DeliveryLog got = run_delay_script<DelayLink>(delay, loss);
       const DeliveryLog want =
           run_delay_script<PerPacketEventLink>(delay, loss);
-      EXPECT_GT(want.size(), 300u);
+      EXPECT_GT(want.size(), 1500u);
       EXPECT_EQ(got, want) << "delay " << to_millis(delay) << " ms, loss "
                            << loss;
     }

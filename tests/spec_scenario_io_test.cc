@@ -231,6 +231,29 @@ TEST(SpecScenarioIo, UnknownSchemeNamesThePath) {
       "scheme: unknown scheme \"TCP\"");
 }
 
+TEST(SpecScenarioIo, RateGridTooCoarseForTheWalkNamesThePath) {
+  // At the default sigma and tick, 256 bins up to 1.5e5 pps leave the
+  // outage escape row no mass: the kernel could not be built, so the
+  // reader fails where a typo'd network name does, not the run.
+  expect_spec_error(
+      [] {
+        (void)parse_scenario_json(
+            R"({"topology": {"kind": "shared-queue",
+                             "flows": [{"scheme": "Cubic"},
+                                       {"scheme": "Sprout",
+                                        "sprout_params":
+                                            {"max_rate_pps": 150000}}]}})");
+      },
+      "topology.flows[1].sprout_params: rate grid too coarse for the rate "
+      "walk");
+  const ScenarioSpec fine = parse_scenario_json(
+      R"({"topology": {"kind": "shared-queue",
+                       "flows": [{"scheme": "Sprout",
+                                  "sprout_params": {"max_rate_pps": 100000}}]}})");
+  ASSERT_TRUE(fine.topology.flows[0].sprout_params.has_value());
+  EXPECT_EQ(fine.topology.flows[0].sprout_params->max_rate_pps, 100000.0);
+}
+
 TEST(SpecScenarioIo, FlowWindowErrorsNameThePath) {
   expect_spec_error(
       [] {
