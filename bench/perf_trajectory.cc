@@ -37,7 +37,9 @@
 // same-instant burst through a CellsimLink into its queue and out at the
 // next opportunity, event loop included (link_burst_pkt: seq-0 packets,
 // which form no trains; link_train_pkt: consecutive seq, one train per
-// burst, into a standing queue).
+// burst, into a standing queue), and one delay-histogram add at the
+// engine geometry over the ~160 occupied bins a paper_cells flow fills
+// (hist_add).
 // receiver_core_pct is the default receiver tick's share of one core at
 // 50 ticks/s: the paper's "under 5% of a PC core", measured.
 //
@@ -63,10 +65,13 @@
 #include "core/wire.h"
 #include "link/cellsim.h"
 #include "link/tower_cell.h"
+#include "metrics/histogram.h"
 #include "metrics/recorder.h"
 #include "obs/metrics.h"
+#include "runner/registry.h"
 #include "sim/simulator.h"
 #include "util/kernels.h"
+#include "util/rng.h"
 
 namespace sprout {
 namespace {
@@ -444,6 +449,29 @@ int run(const Options& opt) {
     std::abort();
   }
 
+  // --- one streaming delay-histogram add at the engine geometry over
+  // the ~160 occupied bins a paper_cells flow fills: three deliveries in
+  // four land within about 1 ms of the previous one (a queue's ramp), the
+  // fourth anywhere in 20-820 ms, so about two adds in three hit the bin
+  // the previous add hit ---
+  constexpr std::size_t kDelays = std::size_t{1} << 16;
+  std::vector<Duration> delays;
+  delays.reserve(kDelays);
+  Rng delay_rng(1);
+  double delay_ms = 400.0;
+  for (std::size_t i = 0; i < kDelays; ++i) {
+    delay_ms = delay_rng.bernoulli(0.75)
+                   ? std::clamp(delay_ms + delay_rng.normal(0.0, 1.0), 20.0,
+                                819.999)
+                   : delay_rng.uniform(20.0, 820.0);
+    delays.push_back(from_seconds(delay_ms / 1000.0));
+  }
+  DelayHistogram hist(kDelayHistBin, kDelayHistMax);
+  std::size_t next_delay = 0;
+  const double hist_add_ns =
+      time_ns([&] { hist.add(delays[next_delay++ % kDelays]); });
+  if (hist.bins().size() < 150) std::abort();
+
   const std::vector<std::pair<const char*, double>> timings = {
       {"evolve_dense", dense_ns},
       {"evolve_banded", banded_ns},
@@ -467,13 +495,14 @@ int run(const Options& opt) {
       {"tower_pf_slot", tower_pf_slot_ns},
       {"link_burst_pkt", link_burst_pkt_ns},
       {"link_train_pkt", link_train_pkt_ns},
+      {"hist_add", hist_add_ns},
   };
 
   std::string json;
   appendf(json,
           "{\n"
           "  \"artifact\": \"perf_trajectory\",\n"
-          "  \"pr\": 21,\n"
+          "  \"pr\": 23,\n"
           "  \"config\": {\n"
           "    \"bins\": %d,\n"
           "    \"band_epsilon\": %.3g,\n"

@@ -34,13 +34,14 @@ class FlowMetrics {
 
   // Streaming mode — population-scale aggregation without retention.
   //
-  // Once enabled, record() folds each delivery into O(1) state instead of
+  // Once enabled, record() folds each delivery into counters instead of
   // appending to records_: total bytes, plus — inside [from, to) — windowed
-  // bytes and a fixed-bin histogram of per-packet one-way delay.  The
-  // retained-record analyses (delay_percentile_ms and friends) are
-  // unavailable in this mode (they would see an empty record list); use
-  // histogram()/window_* instead.  A tower's thousand flows each cost a
-  // histogram, not a packet log.
+  // bytes and a fixed-bin histogram of per-packet one-way delay, which
+  // stores only its occupied bins.  The retained-record analyses
+  // (delay_percentile_ms and friends) are unavailable in this mode (they
+  // would see an empty record list); use histogram()/window_* instead.  A
+  // tower's thousand flows each cost the few bins their delays occupy, not
+  // a packet log.
   void enable_streaming(Duration hist_bin, Duration hist_max, TimePoint from,
                         TimePoint to);
   [[nodiscard]] bool streaming() const { return streaming_; }

@@ -318,11 +318,9 @@ void require_empty_legacy_array(const JsonValue& v, const std::string& key) {
   }
 }
 
-// Histograms travel as geometry + sparse [bin, count] pairs: a tower
-// user's delays cluster in a handful of bins out of thousands, so the
-// dense count vector would be almost all zeros.  Written only when the
-// histogram is configured, so every pre-histogram result file — and every
-// non-tower result today — stays byte-stable.
+// Histograms travel as geometry + the histogram's own sparse [bin, count]
+// pairs.  Written only when the histogram is configured, so every result
+// file written before histograms existed keeps its bytes.
 void write_hist(std::ostream& os, const DelayHistogram& h) {
   os << "{\"bin_ms\": ";
   json_double(os, h.bin_width_ms());
@@ -332,42 +330,37 @@ void write_hist(std::ostream& os, const DelayHistogram& h) {
   json_double(os, h.sum_ms());
   os << ", \"counts\": [";
   bool first = true;
-  const auto& counts = h.counts();
-  for (std::size_t b = 0; b < counts.size(); ++b) {
-    if (counts[b] == 0) continue;
+  for (const DelayHistogram::Bin& b : h.bins()) {
     if (!first) os << ',';
     first = false;
-    os << '[' << b << ',' << counts[b] << ']';
+    os << '[' << b.index << ',' << b.count << ']';
   }
   os << "]}";
 }
 
+// Nothing is sized by the file's geometry: a forged bin_ms / max_ms can
+// claim any bin count, and from_parts refuses one its index cannot hold.
 DelayHistogram read_hist(const JsonValue& v) {
   const double bin_ms = read_double(v.at("bin_ms"));
   const double max_ms = read_double(v.at("max_ms"));
   const double sum_ms = read_double(v.at("sum_ms"));
-  if (bin_ms <= 0.0 || max_ms < bin_ms) {
-    throw std::runtime_error("JSON: malformed histogram geometry");
-  }
-  // The writer's max_ms is always an exact bin multiple (the histogram
-  // ctor rounds it up), so the bin count round-trips through llround.
-  const auto num_bins =
-      static_cast<std::size_t>(std::llround(max_ms / bin_ms));
-  std::vector<std::int64_t> counts(num_bins + 1, 0);
+  std::vector<DelayHistogram::Bin> bins;
   for (const JsonValue& e : v.at("counts").as_array()) {
     const auto& pair = e.as_array();
     if (pair.size() != 2) {
       throw std::runtime_error("JSON: histogram count is not a [bin, n] pair");
     }
     const std::int64_t b = read_i64(pair[0]);
-    const std::int64_t n = read_i64(pair[1]);
-    if (b < 0 || static_cast<std::size_t>(b) >= counts.size() || n < 0) {
+    if (b < 0 || b > std::numeric_limits<std::uint32_t>::max()) {
       throw std::runtime_error("JSON: histogram bin out of range");
     }
-    counts[static_cast<std::size_t>(b)] = n;
+    bins.push_back({static_cast<std::uint32_t>(b), read_i64(pair[1])});
   }
-  return DelayHistogram::from_parts(bin_ms, max_ms, sum_ms,
-                                    std::move(counts));
+  try {
+    return DelayHistogram::from_parts(bin_ms, max_ms, sum_ms, std::move(bins));
+  } catch (const std::invalid_argument& e) {
+    throw std::runtime_error(std::string("JSON: ") + e.what());
+  }
 }
 
 // Flight-recorder timelines travel as geometry + flat 9-tuples

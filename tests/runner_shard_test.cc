@@ -388,6 +388,77 @@ TEST_F(ShardMerge, ForgedCellTotalSizesNothing) {
   expect_merge_error({forged}, "cell 1 is covered by no shard");
 }
 
+// The journal with its first histogram member (cell 0's first flow, on
+// line 2) replaced by `hist`.
+std::string with_first_hist(const std::string& journal,
+                            const std::string& hist) {
+  const std::string key = "\"delay_hist\": ";
+  const std::size_t from = journal.find(key) + key.size();
+  const std::size_t to = journal.find('}', from) + 1;  // a flat object
+  std::string out = journal;
+  out.replace(from, to - from, hist);
+  return out;
+}
+
+TEST_F(ShardMerge, ForgedHistogramIsRejectedNamingItsLine) {
+  // Nothing is sized by a histogram's claimed geometry, and bins must
+  // strictly increase: a repeated bin used to overwrite the first count.
+  const std::string whole = journal_of(*grid_, (*shards_)[0]);
+  ASSERT_NE(whole.find(R"("delay_hist": {"bin_ms": 5, "max_ms": 20000,)"),
+            std::string::npos);
+  constexpr const char* kGeometry = R"("bin_ms": 5, "max_ms": 20000)";
+  const struct {
+    const char* geometry;
+    const char* counts;
+    const char* error;
+  } forged[] = {
+      {R"("bin_ms": 1e-6, "max_ms": 1e9)", "[[4,7]]",
+       "more bins than a bin index can hold"},
+      {R"("bin_ms": 1, "max_ms": 1e300)", "[[4,7]]",
+       "more bins than a bin index can hold"},
+      {R"("bin_ms": 5, "max_ms": "inf")", "[[4,7]]",
+       "more bins than a bin index can hold"},
+      {R"("bin_ms": 5, "max_ms": 1)", "[[4,7]]",
+       "malformed histogram geometry"},
+      {kGeometry, "[[4,7],[4,9000]]", "bins do not strictly increase"},
+      {kGeometry, "[[5,1],[4,7]]", "bins do not strictly increase"},
+      // 4000 is the overflow bin.
+      {kGeometry, "[[4000,1],[4001,1]]", "bin 4001 out of range"},
+      {kGeometry, "[[4294967296,1]]", "bin out of range"},
+      {kGeometry, "[[4,-7]]", "negative histogram count"},
+  };
+  for (const auto& f : forged) {
+    const std::string hist = std::string("{") + f.geometry +
+                             R"(, "sum_ms": 28, "counts": )" + f.counts +
+                             "}";
+    try {
+      (void)read_journal(with_first_hist(whole, hist), "j",
+                         /*allow_truncated_tail=*/false);
+      ADD_FAILURE() << "accepted " << hist;
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_EQ(what.rfind("j: line 2: JSON: ", 0), 0u) << what;
+      EXPECT_NE(what.find(f.error), std::string::npos) << what;
+    }
+  }
+}
+
+TEST_F(ShardMerge, ZeroCountHistogramPairsAreDropped) {
+  const std::string text = with_first_hist(
+      journal_of(*grid_, (*shards_)[0]),
+      R"({"bin_ms": 5, "max_ms": 20000, "sum_ms": 84, )"
+      R"("counts": [[3,0],[8,2],[4000,0]]})");
+  const ShardResult read =
+      read_journal(text, "j", /*allow_truncated_tail=*/false);
+  const DelayHistogram& h = read.records.at(0).result.flows.at(0).delay_hist;
+  EXPECT_EQ(h.bins(), (std::vector<DelayHistogram::Bin>{{8, 2}}));
+  EXPECT_EQ(h.samples(), 2);
+  EXPECT_DOUBLE_EQ(h.mean_ms(), 42.0);
+  std::ostringstream os;
+  write_journal_record(os, read.records[0]);
+  EXPECT_NE(os.str().find(R"("counts": [[8,2]]})"), std::string::npos);
+}
+
 // --- fingerprints and scheduling ----------------------------------------
 
 TEST(Shard, SweepFingerprintCoversEveryCellAndTheSeed) {

@@ -164,7 +164,7 @@ TEST(TowerSweep, SweepJsonRoundTripsHistogramsExactly) {
   ASSERT_EQ(back.cells.size(), 1u);
   const DelayHistogram& a = out.cells[0].population_delay_hist;
   const DelayHistogram& b = back.cells[0].population_delay_hist;
-  EXPECT_EQ(a.counts(), b.counts());
+  EXPECT_EQ(a.bins(), b.bins());
   EXPECT_EQ(a.samples(), b.samples());
   EXPECT_DOUBLE_EQ(a.sum_ms(), b.sum_ms());
   // A second serialization of the parsed result reproduces the bytes.
