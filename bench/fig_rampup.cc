@@ -55,8 +55,9 @@ RampResult run_ramp(SproutVariant variant, Duration off_duration,
   OnOffProfile profile;
   profile.off_duration = off_duration;
   OnOffApp app(sim, profile, 3);
-  SproutEndpoint tx(sim, params, variant, 1, &app.source());
-  SproutEndpoint rx(sim, params, variant, 1, nullptr);
+  SproutEndpoint tx(sim, params, variant, 1, &app.source(),
+                    SproutPeer::kFeedbackOnly);
+  SproutEndpoint rx(sim, params, variant, 1, nullptr, SproutPeer::kSendsData);
   tx.attach_network(fwd);
   rx.attach_network(rev);
   MeasuredSink measured(sim, rx);

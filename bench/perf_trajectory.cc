@@ -39,7 +39,9 @@
 // which form no trains; link_train_pkt: consecutive seq, one train per
 // burst, into a standing queue), and one delay-histogram add at the
 // engine geometry over the ~160 occupied bins a paper_cells flow fills
-// (hist_add).
+// (hist_add), and one one-way Sprout session as the engine wires it, per
+// 20 ms of simulated time with the event loop included
+// (sprout_session_tick).
 // receiver_core_pct is the default receiver tick's share of one core at
 // 50 ticks/s: the paper's "under 5% of a PC core", measured.
 //
@@ -69,7 +71,9 @@
 #include "metrics/recorder.h"
 #include "obs/metrics.h"
 #include "runner/registry.h"
+#include "sim/relay.h"
 #include "sim/simulator.h"
+#include "trace/synthetic.h"
 #include "util/kernels.h"
 #include "util/rng.h"
 
@@ -472,6 +476,45 @@ int run(const Options& opt) {
       time_ns([&] { hist.add(delays[next_delay++ % kDelays]); });
   if (hist.bins().size() < 150) std::abort();
 
+  // --- one one-way Sprout session as the engine wires it (the registry's
+  // SproutFlow: a bulk sender and a receiver that sends only feedback)
+  // over steady 500 pps synthetic links each way, per 20 ms tick of
+  // simulated time, event loop included.  The traces wrap, and the
+  // measured sink streams into a histogram, so the session runs as long as
+  // the timing needs in bounded memory.  Locked on for 5 s before
+  // timing ---
+  CellProcessParams steady;
+  steady.mean_rate_pps = 500.0;
+  steady.volatility_pps = 0.0;
+  steady.outage_hazard_per_s = 0.0;
+  Simulator session_sim;
+  RelaySink fwd_egress;
+  RelaySink rev_egress;
+  CellsimLink fwd_link(session_sim, generate_trace(steady, sec(10), 31), {},
+                       fwd_egress);
+  CellsimLink rev_link(session_sim, generate_trace(steady, sec(10), 32), {},
+                       rev_egress);
+  const StreamingMetricsConfig session_window{TimePoint{}, TimePoint::max()};
+  FlowContext session_ctx{.sim = session_sim,
+                          .sprout_params = params,
+                          .forward_link = fwd_link,
+                          .reverse_link = rev_link,
+                          .forward_trace = fwd_link.trace(),
+                          .propagation_delay = msec(20),
+                          .run_time = sec(10),
+                          .streaming_metrics = &session_window};
+  const std::unique_ptr<SchemeFlow> session =
+      SchemeRegistry::instance().info(SchemeId::kSprout).make_flow(
+          session_ctx);
+  fwd_egress.set_target(session->data_egress());
+  rev_egress.set_target(*session->feedback_egress());
+  session->start();
+  session_sim.run_until(TimePoint{} + sec(5));
+  const double sprout_session_tick_ns = time_ns([&] {
+    session_sim.run_until(session_sim.now() + params.tick);
+  });
+  if (session->metrics().total_bytes() == 0) std::abort();
+
   const std::vector<std::pair<const char*, double>> timings = {
       {"evolve_dense", dense_ns},
       {"evolve_banded", banded_ns},
@@ -496,13 +539,14 @@ int run(const Options& opt) {
       {"link_burst_pkt", link_burst_pkt_ns},
       {"link_train_pkt", link_train_pkt_ns},
       {"hist_add", hist_add_ns},
+      {"sprout_session_tick", sprout_session_tick_ns},
   };
 
   std::string json;
   appendf(json,
           "{\n"
           "  \"artifact\": \"perf_trajectory\",\n"
-          "  \"pr\": 23,\n"
+          "  \"pr\": 24,\n"
           "  \"config\": {\n"
           "    \"bins\": %d,\n"
           "    \"band_epsilon\": %.3g,\n"

@@ -45,8 +45,8 @@ int main(int argc, char** argv) {
   BulkDataSource bulk;
   const SproutVariant variant =
       ewma ? SproutVariant::kEwma : SproutVariant::kBayesian;
-  SproutEndpoint tx(sim, params, variant, 1, &bulk);
-  SproutEndpoint rx(sim, params, variant, 1, nullptr);
+  SproutEndpoint tx(sim, params, variant, 1, &bulk, SproutPeer::kFeedbackOnly);
+  SproutEndpoint rx(sim, params, variant, 1, nullptr, SproutPeer::kSendsData);
   tx.attach_network(fwd_link);
   rx.attach_network(rev_link);
   MeasuredSink measured(sim, rx);

@@ -28,16 +28,19 @@ std::unique_ptr<ForecastStrategy> SproutEndpoint::make_strategy(
 
 SproutEndpoint::SproutEndpoint(Simulator& sim, const SproutParams& params,
                                SproutVariant variant, std::int64_t flow_id,
-                               DataSource* source)
+                               DataSource* source, SproutPeer peer)
     : sim_(sim),
       params_(params),
-      receiver_(params, make_strategy(params, variant)),
       sender_(params,
               [this](SproutWireMessage&& msg, ByteCount wire) {
                 emit(std::move(msg), wire);
               }),
       source_(source),
-      flow_id_(flow_id) {}
+      flow_id_(flow_id) {
+  if (peer == SproutPeer::kSendsData) {
+    receiver_.emplace(params, make_strategy(params, variant));
+  }
+}
 
 void SproutEndpoint::start(Duration phase) {
   assert(network_ != nullptr && "attach_network before start");
@@ -49,12 +52,14 @@ void SproutEndpoint::start(Duration phase) {
 void SproutEndpoint::tick() {
   // Receiver first so the forecast piggybacked on this tick's packets is
   // computed from everything that has arrived so far.
-  receiver_.tick(sim_.now());
-  if (forecast_tap_ != nullptr) {
-    const DeliveryForecast& f = receiver_.latest_forecast();
-    if (f.ticks() > 0) {
-      forecast_tap_->record_forecast(
-          sim_.now(), kbps(f.cumulative_bytes.back(), f.tick * f.ticks()));
+  if (receiver_.has_value()) {
+    receiver_->tick(sim_.now());
+    if (forecast_tap_ != nullptr) {
+      const DeliveryForecast& f = receiver_->latest_forecast();
+      if (f.ticks() > 0) {
+        forecast_tap_->record_forecast(
+            sim_.now(), kbps(f.cumulative_bytes.back(), f.tick * f.ticks()));
+      }
     }
   }
   sender_.tick(sim_.now(), [this](ByteCount max) {
@@ -65,10 +70,10 @@ void SproutEndpoint::tick() {
 
 void SproutEndpoint::emit(SproutWireMessage&& msg, ByteCount wire_size) {
   // Piggyback the local receiver's forecast (§3.4) once one exists.
-  const DeliveryForecast& f = receiver_.latest_forecast();
-  if (f.ticks() > 0) {
+  if (receiver_.has_value() && receiver_->latest_forecast().ticks() > 0) {
+    const DeliveryForecast& f = receiver_->latest_forecast();
     ForecastBlock block;
-    block.received_or_lost_bytes = receiver_.received_or_lost_bytes();
+    block.received_or_lost_bytes = receiver_->received_or_lost_bytes();
     block.origin_us = f.origin.time_since_epoch().count();
     block.tick_us = static_cast<std::uint32_t>(f.tick.count());
     block.cumulative_bytes.reserve(f.cumulative_bytes.size());
@@ -99,7 +104,7 @@ void SproutEndpoint::receive(Packet&& p) {
     ++malformed_;
     return;
   }
-  receiver_.on_packet(*msg, p.size, sim_.now());
+  if (receiver_.has_value()) receiver_->on_packet(*msg, p.size, sim_.now());
   if (msg->forecast.has_value()) {
     sender_.on_forecast(*msg->forecast, sim_.now());
   }

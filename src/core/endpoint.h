@@ -1,17 +1,21 @@
 // A full Sprout session endpoint.
 //
-// Each endpoint runs BOTH halves of the protocol, as in the paper (Fig. 3:
-// "a Sprout session maintains this model separately in each direction"):
-// a receiver inferring the incoming link's rate and forecasting deliveries,
-// and a sender pacing data out of the attached source under the window
-// computed from the peer's forecast.  Every outgoing packet piggybacks the
-// local receiver's latest forecast; when the sender is idle the heartbeat
-// doubles as the feedback packet.
+// The paper keeps one model per direction (Fig. 3: "a Sprout session
+// maintains this model separately in each direction"), because each
+// direction's forecast paces that direction's sender.  So an endpoint runs
+// a sender, pacing data out of the attached source under the window
+// computed from the peer's forecast, and — for a direction that carries
+// data — a receiver inferring the incoming link's rate and forecasting
+// deliveries.  Every outgoing packet piggybacks the local receiver's latest
+// forecast; when the sender is idle the heartbeat doubles as the feedback
+// packet.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 
 #include "core/params.h"
 #include "core/receiver.h"
@@ -32,12 +36,24 @@ enum class SproutVariant {
   kEmpirical,  // §7 extension: windowed empirical-quantile forecasts
 };
 
+// What the peer endpoint sends: data, or only feedback heartbeats.
+enum class SproutPeer {
+  kFeedbackOnly,  // no data source: one heartbeat per tick, whatever its
+                  // window
+  kSendsData,
+};
+
 class SproutEndpoint : public PacketSink {
  public:
-  // `source` may be null (pure receiver/feedback endpoint).
+  // `source` may be null (pure receiver/feedback endpoint).  `peer` says
+  // whether the other end has a data source.  A kFeedbackOnly peer's
+  // heartbeats are the same whatever forecast reaches it, so this endpoint
+  // builds no forecast strategy, runs no receiver tick and attaches no
+  // forecast block to its packets; it still hands the peer's forecast
+  // blocks to its own sender.
   SproutEndpoint(Simulator& sim, const SproutParams& params,
                  SproutVariant variant, std::int64_t flow_id,
-                 DataSource* source);
+                 DataSource* source, SproutPeer peer);
 
   SproutEndpoint(const SproutEndpoint&) = delete;
   SproutEndpoint& operator=(const SproutEndpoint&) = delete;
@@ -50,8 +66,10 @@ class SproutEndpoint : public PacketSink {
   // outlive the endpoint).  After every receiver tick the cautious
   // estimate's horizon-average delivery rate is recorded, so timelines can
   // plot "what the forecast believed" against what the channel delivered.
-  // Pure observation: the forecast is read, never altered.
+  // Pure observation: the forecast is read, never altered.  Needs a
+  // receiver (a kSendsData peer).
   void set_forecast_tap(FlowTimelineRecorder* recorder) {
+    assert(receiver_.has_value() && "a forecast tap needs a receiver");
     forecast_tap_ = recorder;
   }
 
@@ -68,7 +86,10 @@ class SproutEndpoint : public PacketSink {
     tunnel_delivery_ = std::move(fn);
   }
 
-  [[nodiscard]] const SproutReceiver& receiver() const { return receiver_; }
+  // Throws std::bad_optional_access when the peer is kFeedbackOnly.
+  [[nodiscard]] const SproutReceiver& receiver() const {
+    return receiver_.value();
+  }
   [[nodiscard]] const SproutSender& sender() const { return sender_; }
   [[nodiscard]] std::int64_t malformed_packets() const { return malformed_; }
 
@@ -80,7 +101,7 @@ class SproutEndpoint : public PacketSink {
 
   Simulator& sim_;
   SproutParams params_;
-  SproutReceiver receiver_;
+  std::optional<SproutReceiver> receiver_;  // absent for a kFeedbackOnly peer
   SproutSender sender_;
   DataSource* source_;
   PacketSink* network_ = nullptr;

@@ -84,15 +84,18 @@ class SproutFlow : public SchemeFlow {
         flow_index_(ctx.flow_index),
         bulk_(std::make_unique<BulkDataSource>()),
         tx_(std::make_unique<SproutEndpoint>(ctx.sim, params_, variant,
-                                             ctx.flow_id, bulk_.get())),
+                                             ctx.flow_id, bulk_.get(),
+                                             SproutPeer::kFeedbackOnly)),
         rx_(std::make_unique<SproutEndpoint>(ctx.sim, params_, variant,
-                                             ctx.flow_id, nullptr)),
+                                             ctx.flow_id, nullptr,
+                                             SproutPeer::kSendsData)),
         measured_(make_measured(ctx, rx_.get())) {
     tx_->attach_network(ctx.forward_link);
     rx_->attach_network(ctx.reverse_link);
     // The rx_ endpoint receives the flow's data, so ITS receiver infers
     // the forward link — that forecast is the one a timeline plots
-    // against the forward link's realized capacity.
+    // against the forward link's realized capacity.  tx_'s peer sends only
+    // heartbeats, so tx_ runs no receiver.
     if (ctx.timeline != nullptr) {
       rx_->set_forecast_tap(ctx.timeline);
     }

@@ -799,15 +799,22 @@ double scheme_cost_weight(SchemeId scheme) {
   // ensemble ~24x.  Tiling the evolve, tabling the observe likelihoods and
   // galloping the forecast search (2026-10) cut them again; re-measured the
   // same way, the medians are Cubic 0.055, Sprout 0.092 and
-  // Sprout-Adaptive 0.71 s: Sprout ~1.7x Cubic, the ensemble ~13x.  The
-  // other schemes run no forecaster and keep their weights.  Sprout-bearing
-  // cells still dominate shard makespans, so LPT plans keyed on these
-  // weights remain far better than cell-count balance.
+  // Sprout-Adaptive 0.71 s: Sprout ~1.7x Cubic, the ensemble ~13x.  A
+  // one-way session now forecasts only at its data receiver, not at the
+  // sender for the heartbeat stream (2026-10).  Re-measured the same way on
+  // a shared 4-vCPU Xeon (gcc 12.2 Release), medians of 14 rounds: Cubic
+  // 0.025, Sprout 0.041, Sprout-EWMA 0.014, Sprout-Adaptive 0.28,
+  // Sprout-MMPP 0.015 and Sprout-Empirical 0.23 s, so the five Sprout-family
+  // weights are 1.6, 0.55, 11, 0.6 and 9.3 (the same host read 2.7, 0.68,
+  // 20, 0.91 and 17 with both receivers).  The other schemes run no
+  // forecaster and keep their weights.  Sprout-bearing cells still dominate
+  // shard makespans, so LPT plans keyed on these weights remain far better
+  // than cell-count balance.
   // Constants are rounded: they are ordering keys, not wall-clock
   // predictions.
   switch (scheme) {
-    case SchemeId::kSprout: return 1.7;
-    case SchemeId::kSproutEwma: return 0.7;
+    case SchemeId::kSprout: return 1.6;
+    case SchemeId::kSproutEwma: return 0.55;
     case SchemeId::kSkype: return 0.24;
     case SchemeId::kFacetime: return 0.26;
     case SchemeId::kHangout: return 0.24;
@@ -820,9 +827,9 @@ double scheme_cost_weight(SchemeId scheme) {
     case SchemeId::kGcc: return 0.25;
     case SchemeId::kFast: return 0.8;
     case SchemeId::kCubicPie: return 0.65;
-    case SchemeId::kSproutAdaptive: return 13.0;
-    case SchemeId::kSproutMmpp: return 0.7;
-    case SchemeId::kSproutEmpirical: return 11.0;
+    case SchemeId::kSproutAdaptive: return 11.0;
+    case SchemeId::kSproutMmpp: return 0.6;
+    case SchemeId::kSproutEmpirical: return 9.3;
     case SchemeId::kReno: return 0.9;
   }
   return 1.0;
@@ -832,9 +839,10 @@ double estimated_cost(const ScenarioSpec& spec) {
   // Simulated work scales with how long the event loop runs and with the
   // per-scheme weight of every endpoint pair feeding it.  The tunnel
   // scenario sums its fixed flow pair, plus a Sprout-weight surcharge
-  // when the pair rides SproutTunnel (measured: the tunnel's
-  // forecaster costs what a Sprout flow costs); shared queues sum their
-  // flow list (or num_flows copies); a single flow is its own weight.
+  // when the pair rides SproutTunnel (measured: the tunnel's two
+  // forecasters, one per direction, cost 1.07 one-way Sprout flows, which
+  // run one each); shared queues sum their flow list (or num_flows
+  // copies); a single flow is its own weight.
   double weight = 0.0;
   switch (spec.topology.kind) {
     case TopologySpec::Kind::kSingleFlow:

@@ -98,7 +98,8 @@ TunnelEndpoint::TunnelEndpoint(Simulator& sim, const SproutParams& params,
     : sim_(sim),
       params_(params),
       source_(config),
-      sprout_(sim, params, variant, tunnel_flow_id, &source_),
+      sprout_(sim, params, variant, tunnel_flow_id, &source_,
+              SproutPeer::kSendsData),
       ingress_sink_(*this) {
   sprout_.set_tunnel_delivery([this](Packet&& p) { deliver(std::move(p)); });
 }

@@ -160,8 +160,10 @@ TEST(OnOffOverSprout, BurstsDrainAfterLongIdle) {
   profile.on_duration = sec(1);
   profile.off_duration = sec(5);  // long silences
   OnOffApp app(sim, profile, 3);
-  SproutEndpoint tx(sim, params, SproutVariant::kBayesian, 1, &app.source());
-  SproutEndpoint rx(sim, params, SproutVariant::kBayesian, 1, nullptr);
+  SproutEndpoint tx(sim, params, SproutVariant::kBayesian, 1, &app.source(),
+                    SproutPeer::kFeedbackOnly);
+  SproutEndpoint rx(sim, params, SproutVariant::kBayesian, 1, nullptr,
+                    SproutPeer::kSendsData);
   tx.attach_network(fwd);
   rx.attach_network(rev);
   MeasuredSink measured(sim, rx);

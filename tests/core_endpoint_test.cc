@@ -3,6 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <optional>
+#include <string>
+#include <tuple>
+#include <utility>
+#include <vector>
+
 #include "core/source.h"
 #include "link/cellsim.h"
 #include "metrics/flow_metrics.h"
@@ -36,8 +43,8 @@ struct Session {
                  fwd_egress),
         rev_link(sim, generate_trace(steady(fwd_pps), run + sec(1), 32), {},
                  rev_egress),
-        tx(sim, params, variant, 1, &bulk),
-        rx(sim, params, variant, 1, nullptr),
+        tx(sim, params, variant, 1, &bulk, SproutPeer::kFeedbackOnly),
+        rx(sim, params, variant, 1, nullptr, SproutPeer::kSendsData),
         measured(sim, rx) {
     tx.attach_network(fwd_link);
     rx.attach_network(rev_link);
@@ -103,8 +110,10 @@ TEST(SproutEndpoint, SurvivesMidRunOutage) {
                        rev_egress);
   SproutParams params;
   BulkDataSource bulk;
-  SproutEndpoint tx(sim, params, SproutVariant::kBayesian, 1, &bulk);
-  SproutEndpoint rx(sim, params, SproutVariant::kBayesian, 1, nullptr);
+  SproutEndpoint tx(sim, params, SproutVariant::kBayesian, 1, &bulk,
+                    SproutPeer::kFeedbackOnly);
+  SproutEndpoint rx(sim, params, SproutVariant::kBayesian, 1, nullptr,
+                    SproutPeer::kSendsData);
   tx.attach_network(fwd_link);
   rx.attach_network(rev_link);
   MeasuredSink measured(sim, rx);
@@ -126,9 +135,11 @@ TEST(SproutEndpoint, SurvivesMidRunOutage) {
 TEST(SproutEndpoint, FeedbackOnlyPeerSendsHeartbeats) {
   Session s(500.0, SproutVariant::kBayesian, sec(5));
   // The receiving endpoint has no data source, yet its feedback stream
-  // must flow (tx needs forecasts): tx has a forecast.
+  // must flow (tx needs forecasts): tx has a forecast.  tx's own peer
+  // sends no data, so tx runs no receiver.
   EXPECT_TRUE(s.tx.sender().has_forecast());
   EXPECT_GT(s.rx.receiver().received_or_lost_bytes(), 0);
+  EXPECT_THROW((void)s.tx.receiver(), std::bad_optional_access);
 }
 
 TEST(SproutEndpoint, LossDoesNotCollapseSession) {
@@ -143,8 +154,10 @@ TEST(SproutEndpoint, LossDoesNotCollapseSession) {
                        rev_egress);
   SproutParams params;
   BulkDataSource bulk;
-  SproutEndpoint tx(sim, params, SproutVariant::kBayesian, 1, &bulk);
-  SproutEndpoint rx(sim, params, SproutVariant::kBayesian, 1, nullptr);
+  SproutEndpoint tx(sim, params, SproutVariant::kBayesian, 1, &bulk,
+                    SproutPeer::kFeedbackOnly);
+  SproutEndpoint rx(sim, params, SproutVariant::kBayesian, 1, nullptr,
+                    SproutPeer::kSendsData);
   tx.attach_network(fwd_link);
   rx.attach_network(rev_link);
   MeasuredSink measured(sim, rx);
@@ -157,6 +170,123 @@ TEST(SproutEndpoint, LossDoesNotCollapseSession) {
                                                         TimePoint{} + sec(30));
   // §5.6: throughput diminishes under loss but stays useful.
   EXPECT_GT(thr, 1000.0);
+}
+
+// Oracle for the feedback endpoint's missing receiver.  A one-way session
+// runs twice: once with tx built as the tunnel builds its endpoints (tx's
+// receiver infers the feedback link) and once as SproutFlow builds it (no
+// receiver).  rx pulls no data, so it sends one heartbeat per tick whatever
+// tx's forecast says, and the forecast only changes flags and throwaway
+// numbers that nothing but tx's own receiver reads.  Everything the data
+// direction does must therefore repeat exactly.
+struct OneWayTrace {
+  // Forward deliveries: (sent_at, received_at, size, seq).
+  std::vector<std::tuple<TimePoint, TimePoint, ByteCount, std::int64_t>>
+      deliveries;
+  // rx's forecast and tx's sender state, read once per tick.
+  std::vector<std::vector<ByteCount>> rx_forecasts;
+  std::vector<TimePoint> rx_forecast_origins;
+  std::vector<std::pair<ByteCount, ByteCount>> tx_sender;  // sent, queue est.
+  // Both links' delivered packets, random drops and queue drops.
+  std::vector<std::int64_t> link_counters;
+};
+
+struct DeliveryTap : PacketSink {
+  Simulator& sim;
+  PacketSink& next;
+  OneWayTrace& out;
+  DeliveryTap(Simulator& s, PacketSink& n, OneWayTrace& o)
+      : sim(s), next(n), out(o) {}
+  void receive(Packet&& p) override {
+    out.deliveries.emplace_back(p.sent_at, sim.now(), p.size, p.seq);
+    next.receive(std::move(p));
+  }
+};
+
+// 500 pps each way for `run`; with `outage` the forward link delivers
+// nothing over [4 s, 7 s).
+Trace oracle_trace(Duration run, bool outage, std::uint64_t seed) {
+  Trace t = generate_trace(steady(500.0), run + sec(1), seed);
+  if (!outage) return t;
+  std::vector<TimePoint> opp;
+  for (const TimePoint at : t.opportunities()) {
+    if (at < TimePoint{} + sec(4) || at >= TimePoint{} + sec(7)) {
+      opp.push_back(at);
+    }
+  }
+  return Trace{std::move(opp), run + sec(1)};
+}
+
+OneWayTrace run_one_way(SproutVariant variant, bool outage, double loss,
+                        SproutPeer tx_peer) {
+  const Duration run = sec(12);
+  Simulator sim;
+  OneWayTrace out;
+  RelaySink fwd_egress, rev_egress;
+  CellsimConfig cfg;
+  cfg.loss_rate = loss;
+  cfg.seed = 77;
+  CellsimLink fwd_link(sim, oracle_trace(run, outage, 51), cfg, fwd_egress);
+  cfg.seed = 78;
+  CellsimLink rev_link(sim, oracle_trace(run, false, 52), cfg, rev_egress);
+  SproutParams params;
+  BulkDataSource bulk;
+  SproutEndpoint tx(sim, params, variant, 1, &bulk, tx_peer);
+  SproutEndpoint rx(sim, params, variant, 1, nullptr, SproutPeer::kSendsData);
+  tx.attach_network(fwd_link);
+  rx.attach_network(rev_link);
+  DeliveryTap tap(sim, rx, out);
+  fwd_egress.set_target(tap);
+  rev_egress.set_target(tx);
+  tx.start();
+  rx.start(msec(7));
+  // Read every tick, between rx's tick (phase 7 ms) and tx's (phase 0).
+  std::function<void()> poll = [&] {
+    const DeliveryForecast& f = rx.receiver().latest_forecast();
+    out.rx_forecasts.push_back(f.cumulative_bytes);
+    out.rx_forecast_origins.push_back(f.origin);
+    out.tx_sender.emplace_back(tx.sender().bytes_sent(),
+                               tx.sender().queue_estimate());
+    sim.after(params.tick, poll);
+  };
+  sim.after(msec(13), poll);
+  sim.run_until(TimePoint{} + run);
+  for (const CellsimLink* link : {&fwd_link, &rev_link}) {
+    out.link_counters.push_back(link->delivered_packets());
+    out.link_counters.push_back(link->random_drops());
+    out.link_counters.push_back(link->queue_drops());
+  }
+  return out;
+}
+
+TEST(SproutEndpoint, FeedbackEndpointWithoutReceiverMatchesInferringOracle) {
+  for (const SproutVariant variant :
+       {SproutVariant::kBayesian, SproutVariant::kEwma,
+        SproutVariant::kAdaptive, SproutVariant::kMmpp,
+        SproutVariant::kEmpirical}) {
+    for (const bool outage : {false, true}) {
+      for (const double loss : {0.0, 0.05}) {
+        const OneWayTrace oracle =
+            run_one_way(variant, outage, loss, SproutPeer::kSendsData);
+        const OneWayTrace run =
+            run_one_way(variant, outage, loss, SproutPeer::kFeedbackOnly);
+        const std::string where =
+            "variant " + std::to_string(static_cast<int>(variant)) +
+            (outage ? ", outage" : ", steady") + ", loss " +
+            std::to_string(loss);
+        // A session that carried nothing would match trivially (the
+        // fewest here, Sprout-Adaptive through the outage at 5% loss,
+        // deliver about 1,050 packets).
+        ASSERT_GT(oracle.deliveries.size(), 1000u) << where;
+        EXPECT_TRUE(run.deliveries == oracle.deliveries) << where;
+        EXPECT_TRUE(run.rx_forecasts == oracle.rx_forecasts) << where;
+        EXPECT_TRUE(run.rx_forecast_origins == oracle.rx_forecast_origins)
+            << where;
+        EXPECT_TRUE(run.tx_sender == oracle.tx_sender) << where;
+        EXPECT_EQ(run.link_counters, oracle.link_counters) << where;
+      }
+    }
+  }
 }
 
 }  // namespace

